@@ -2,9 +2,11 @@
 // end-to-end profile-aware BFA trial, comparing the naive reference
 // against the dispatched backend (and full-forward candidate evaluation
 // against incremental suffix replay), and the float path against the true
-// int8 execution path (quantized GEMM + batched conv entry).  Writes
-// BENCH_kernels.json — the committed copy at the repo root is the tracked
-// baseline.
+// int8 execution path (quantized GEMM, the fused int8 conv on every
+// ResNet-20 conv shape at B=4 and B=16, and the int8 ResNet-20 forward).
+// Writes BENCH_kernels.json — the committed copy at the repo root is the
+// tracked baseline; it names the backend, CPU features and source commit
+// (RP_COMMIT, else `git rev-parse HEAD`) that produced it.
 //
 // Modes:
 //   bench_kernels           full suite + JSON artifact
@@ -29,11 +31,13 @@
 #include "attack/bfa.h"
 #include "attack/eval.h"
 #include "attack/mapping.h"
+#include "bench_util.h"
 #include "data/dataset.h"
 #include "data/vision_synth.h"
 #include "dram/device.h"
 #include "exp/experiment.h"
 #include "models/resnet.h"
+#include "models/zoo.h"
 #include "nn/kernels/kernels.h"
 #include "nn/kernels/qgemm.h"
 #include "nn/quant/qmodel.h"
@@ -147,6 +151,83 @@ double measure_qgemm_gops(int m, int k, int n, int batch, double min_secs) {
   const double ops =
       2.0 * m * k * n * batch * static_cast<double>(iters);
   return ops / elapsed / 1e9;
+}
+
+/// Median of three timing windows of `fn`, microseconds per call.
+template <typename Fn>
+double median_us(Fn&& fn, double window_secs) {
+  fn();  // warm-up (also grows any scratch to its steady size)
+  double us[3];
+  for (double& u : us) {
+    std::int64_t iters = 0;
+    const double t0 = now_secs();
+    double elapsed = 0.0;
+    do {
+      fn();
+      ++iters;
+      elapsed = now_secs() - t0;
+    } while (elapsed < window_secs);
+    u = elapsed / static_cast<double>(iters) * 1e6;
+  }
+  std::sort(us, us + 3);
+  return us[1];
+}
+
+/// The zoo ResNet-20's conv shapes (base width 8 on 12x12 inputs), stem to
+/// stage 3, including the stride-2 3x3 and 1x1 downsample convs.
+struct ConvRow {
+  const char* name;
+  int cin, cout, k, stride, pad, hw;
+};
+constexpr ConvRow kResNet20Convs[] = {
+    {"stem 3x3", 1, 8, 3, 1, 1, 12},    {"s1 3x3", 8, 8, 3, 1, 1, 12},
+    {"s2 3x3/2", 8, 16, 3, 2, 1, 12},   {"s2 1x1/2", 8, 16, 1, 2, 0, 12},
+    {"s2 3x3", 16, 16, 3, 1, 1, 6},     {"s3 3x3/2", 16, 32, 3, 2, 1, 6},
+    {"s3 1x1/2", 16, 32, 1, 2, 0, 6},   {"s3 3x3", 32, 32, 3, 1, 1, 3},
+};
+
+struct ConvTiming {
+  const ConvRow* row;
+  int batch;
+  double us;
+};
+
+/// One int8 conv shape through kernels::qconv, the entry the layers call,
+/// on the active backend.
+ConvTiming measure_qconv(const ConvRow& r, int batch, double window_secs) {
+  const k::QConvShape s{.batch = batch, .cin = r.cin, .h = r.hw, .w = r.hw,
+                        .cout = r.cout, .kh = r.k, .kw = r.k,
+                        .stride_h = r.stride, .stride_w = r.stride,
+                        .pad_h = r.pad, .pad_w = r.pad};
+  Rng rng(3);
+  std::vector<float> x(static_cast<std::size_t>(batch) * r.cin * r.hw * r.hw);
+  for (auto& v : x) v = static_cast<float>(rng.normal());
+  std::vector<std::int8_t> wgt(static_cast<std::size_t>(r.cout) * s.patch());
+  std::vector<std::int32_t> sums(static_cast<std::size_t>(r.cout), 0);
+  for (std::size_t i = 0; i < wgt.size(); ++i) {
+    wgt[i] =
+        static_cast<std::int8_t>(static_cast<int>(rng.uniform_u64(255)) - 127);
+    sums[i / static_cast<std::size_t>(s.patch())] += wgt[i];
+  }
+  const std::vector<float> scales(static_cast<std::size_t>(r.cout), 0.01f);
+  std::vector<float> y(static_cast<std::size_t>(batch) * r.cout * s.out_h() *
+                       s.out_w());
+  return {&r, batch, median_us([&] {
+            k::qconv(x.data(), wgt.data(), sums.data(), scales.data(), nullptr,
+                     s, y.data());
+          }, window_secs)};
+}
+
+/// Int8 forward of the zoo ResNet-20 (seeded init) at `batch`, ms.
+double measure_resnet20_int8_fwd_ms(int batch, double window_secs) {
+  const auto zoo = models::model_zoo();
+  Rng rng(1);
+  auto model = models::find_model(zoo, "ResNet-20").factory(rng);
+  model->set_training(false);
+  nn::QuantizedModel qmodel(*model);
+  qmodel.set_int8_execution(true);
+  const nn::Tensor x = nn::Tensor::randn({batch, 1, 12, 12}, rng);
+  return median_us([&] { (void)model->forward(x); }, window_secs) / 1e3;
 }
 
 /// Shared fixture for the end-to-end trial: a briefly trained mini
@@ -289,25 +370,49 @@ bool int8_top1_parity(const TrialFixture& fx, int samples) {
   return parity;
 }
 
-void write_json(double gemm_gflops, double qgemm_gops,
-                double qgemm_batched_gops, double trial_float_naive_ms,
-                double trial_wall_ms, double trial_int8_wall_ms) {
-  const char* commit = std::getenv("RP_COMMIT");
+struct KernelReport {
+  double gemm_gflops = 0, qgemm_gops = 0, qgemm_batched_gops = 0;
+  std::vector<ConvTiming> convs;
+  double resnet20_int8_fwd_b8_ms = 0;
+  double trial_float_naive_ms = 0, trial_wall_ms = 0, trial_int8_wall_ms = 0;
+};
+
+bool write_json(const KernelReport& r) {
+  const std::string commit = bench::source_commit();
+  if (commit.empty()) {
+    std::fprintf(stderr, "not writing BENCH_kernels.json: no source commit "
+                         "(set RP_COMMIT or run inside a git checkout)\n");
+    return false;
+  }
   std::FILE* f = std::fopen("BENCH_kernels.json", "w");
   if (f == nullptr) {
     std::fprintf(stderr, "cannot write BENCH_kernels.json\n");
-    return;
+    return false;
   }
   std::fprintf(f,
                "{\"gemm_gflops\": %.3f, \"qgemm_gops\": %.3f, "
-               "\"qgemm_batched_gops\": %.3f, \"trial_float_naive_ms\": %.1f, "
-               "\"trial_wall_ms\": %.1f, "
-               "\"trial_int8_wall_ms\": %.1f, \"commit\": \"%s\"}\n",
-               gemm_gflops, qgemm_gops, qgemm_batched_gops,
-               trial_float_naive_ms, trial_wall_ms, trial_int8_wall_ms,
-               commit ? commit : "unknown");
+               "\"qgemm_batched_gops\": %.3f, \"qconv_us\": [",
+               r.gemm_gflops, r.qgemm_gops, r.qgemm_batched_gops);
+  for (std::size_t i = 0; i < r.convs.size(); ++i) {
+    const ConvTiming& c = r.convs[i];
+    std::fprintf(f,
+                 "%s{\"shape\": \"%s %d->%d @%d\", \"batch\": %d, "
+                 "\"us\": %.2f}",
+                 i == 0 ? "" : ", ", c.row->name, c.row->cin, c.row->cout,
+                 c.row->hw, c.batch, c.us);
+  }
+  std::fprintf(f,
+               "], \"resnet20_int8_fwd_b8_ms\": %.3f, "
+               "\"trial_float_naive_ms\": %.1f, \"trial_wall_ms\": %.1f, "
+               "\"trial_int8_wall_ms\": %.1f, \"backend\": \"%s\", "
+               "\"cpu_features\": \"%s\", \"commit\": \"%s\"}\n",
+               r.resnet20_int8_fwd_b8_ms, r.trial_float_naive_ms,
+               r.trial_wall_ms, r.trial_int8_wall_ms,
+               k::backend_name(k::active_backend()),
+               k::cpu_features_string().c_str(), commit.c_str());
   std::fclose(f);
   std::printf("wrote BENCH_kernels.json\n");
+  return true;
 }
 
 int run_smoke() {
@@ -363,26 +468,45 @@ int main(int argc, char** argv) {
   if (argc > 1 && std::strcmp(argv[1], "--smoke") == 0) return run_smoke();
 
   const k::Backend active = k::active_backend();
+  KernelReport report;
   std::printf("GEMM throughput, naive reference vs %s backend\n",
               k::backend_name(active));
-  double dominant_gflops = 0.0;
   for (const Shape& s : table1_shapes()) {
     k::set_backend(k::Backend::kNaive);
     const double naive = measure_gflops(s, 0.4);
     k::set_backend(active);
     const double fast = measure_gflops(s, 0.4);
-    if (dominant_gflops == 0.0) dominant_gflops = fast;
+    if (report.gemm_gflops == 0.0) report.gemm_gflops = fast;
     std::printf("  %-24s m=%-4d k=%-4d n=%-5d %7.2f -> %7.2f GFLOP/s (%.2fx)\n",
                 s.name, s.m, s.k, s.n, naive, fast, fast / naive);
   }
 
   std::printf("int8 GEMM throughput, %s backend, dominant conv shape\n",
               k::backend_name(active));
-  const double qgops = measure_qgemm_gops(16, 144, 1024, 1, 0.4);
-  const double qgops_batched = measure_qgemm_gops(16, 144, 1024, 8, 0.4);
-  std::printf("  qgemm m=16 k=144 n=1024   batch=1 %7.2f GOP/s\n", qgops);
+  report.qgemm_gops = measure_qgemm_gops(16, 144, 1024, 1, 0.4);
+  report.qgemm_batched_gops = measure_qgemm_gops(16, 144, 1024, 8, 0.4);
+  std::printf("  qgemm m=16 k=144 n=1024   batch=1 %7.2f GOP/s\n",
+              report.qgemm_gops);
   std::printf("  qgemm m=16 k=144 n=1024   batch=8 %7.2f GOP/s\n",
-              qgops_batched);
+              report.qgemm_batched_gops);
+
+  std::printf("int8 conv (fused qconv), ResNet-20 shapes, %s backend\n",
+              k::backend_name(active));
+  for (const int batch : {4, 16}) {
+    for (const ConvRow& r : kResNet20Convs) {
+      const ConvTiming c = measure_qconv(r, batch, 0.1);
+      const double gops = 2.0 * batch * r.cout * r.cin * r.k * r.k *
+                          ((r.hw + 2 * r.pad - r.k) / r.stride + 1) *
+                          ((r.hw + 2 * r.pad - r.k) / r.stride + 1) /
+                          (c.us * 1e3);
+      std::printf("  %-9s %2d->%-2d @%-2d B=%-2d %7.1f us %6.2f GOP/s\n",
+                  r.name, r.cin, r.cout, r.hw, batch, c.us, gops);
+      report.convs.push_back(c);
+    }
+  }
+  report.resnet20_int8_fwd_b8_ms = measure_resnet20_int8_fwd_ms(8, 0.3);
+  std::printf("int8 ResNet-20 forward, B=8: %.3f ms\n",
+              report.resnet20_int8_fwd_b8_ms);
 
   // Trial wall time bounces +/-10-15% on a shared core; the median of
   // three runs is what lands in BENCH_kernels.json so committed numbers
@@ -397,20 +521,20 @@ int main(int argc, char** argv) {
   const TrialFixture fx;
   std::printf("profile-aware BFA trial, full forward + naive kernels\n");
   k::set_backend(k::Backend::kNaive);
-  const double baseline_ms = median3(fx, /*inc=*/false, /*q=*/false);
+  report.trial_float_naive_ms = median3(fx, /*inc=*/false, /*q=*/false);
   std::printf("profile-aware BFA trial, incremental + %s kernels\n",
               k::backend_name(active));
   k::set_backend(active);
-  const double optimized_ms = median3(fx, /*inc=*/true, /*q=*/false);
+  report.trial_wall_ms = median3(fx, /*inc=*/true, /*q=*/false);
   std::printf("profile-aware BFA trial, incremental + %s kernels + int8\n",
               k::backend_name(active));
-  const double int8_ms = median3(fx, /*inc=*/true, /*q=*/true);
+  report.trial_int8_wall_ms = median3(fx, /*inc=*/true, /*q=*/true);
   std::printf("  trial wall: %.0f ms -> %.0f ms float (%.2fx), %.0f ms int8 "
               "(%.2fx)\n",
-              baseline_ms, optimized_ms, baseline_ms / optimized_ms, int8_ms,
-              baseline_ms / int8_ms);
+              report.trial_float_naive_ms, report.trial_wall_ms,
+              report.trial_float_naive_ms / report.trial_wall_ms,
+              report.trial_int8_wall_ms,
+              report.trial_float_naive_ms / report.trial_int8_wall_ms);
 
-  write_json(dominant_gflops, qgops, qgops_batched, baseline_ms, optimized_ms,
-             int8_ms);
-  return 0;
+  return write_json(report) ? 0 : 1;
 }

@@ -1,6 +1,7 @@
 // Shared plumbing for the paper-reproduction bench harnesses.
 #pragma once
 
+#include <cstdio>
 #include <cstdlib>
 #include <string>
 
@@ -36,5 +37,26 @@ inline int num_workers() {
 
 /// Campaign journal directory for the paper-reproduction benches.
 inline std::string journal_dir() { return cache_dir() + "/campaigns"; }
+
+/// Source revision a BENCH_*.json is attributed to: RP_COMMIT when set,
+/// else `git rev-parse HEAD` of the working directory's checkout, with
+/// "-dirty" appended when tracked files differ from HEAD.  Empty when
+/// neither is available — callers refuse to write an unattributed result
+/// rather than stamping a placeholder.
+inline std::string source_commit() {
+  if (const char* env = std::getenv("RP_COMMIT"); env && env[0] != '\0')
+    return env;
+  std::string out;
+  if (std::FILE* p = popen("git rev-parse HEAD 2>/dev/null", "r")) {
+    char buf[128];
+    while (std::fgets(buf, sizeof buf, p) != nullptr) out += buf;
+    if (pclose(p) != 0) out.clear();
+  }
+  while (!out.empty() && (out.back() == '\n' || out.back() == '\r'))
+    out.pop_back();
+  if (!out.empty() && std::system("git diff --quiet HEAD -- 2>/dev/null") != 0)
+    out += "-dirty";
+  return out;
+}
 
 }  // namespace rowpress::bench

@@ -26,23 +26,6 @@ void im2col1d(const float* x, int cin, int len, int k, int stride, int pad,
   }
 }
 
-// Transposed im2col for the int8 path: [OL, Cin*k], one patch per row
-// (see Conv2d::im2col_rows).
-void im2col1d_rows(const float* x, int cin, int len, int k, int stride,
-                   int pad, int ol, float* rows) {
-  const int patch = cin * k;
-  for (int i = 0; i < ol; ++i) {
-    float* row = rows + static_cast<std::size_t>(i) * patch;
-    for (int ci = 0; ci < cin; ++ci) {
-      const float* line = x + static_cast<std::size_t>(ci) * len;
-      for (int ki = 0; ki < k; ++ki) {
-        const int li = i * stride - pad + ki;
-        row[ci * k + ki] = (li >= 0 && li < len) ? line[li] : 0.0f;
-      }
-    }
-  }
-}
-
 void col2im1d(const float* col, int cin, int len, int k, int stride, int pad,
               int ol, float* x) {
   for (int ci = 0; ci < cin; ++ci) {
@@ -88,35 +71,17 @@ Tensor Conv1d::forward(const Tensor& x) {
   const float* xp = x.cdata();
   const float* wp = weight_.value.cdata();
 
-  // Int8 path (see Conv2d::forward for the scheme).
+  // Int8 path: the fused conv kernel on a height-1 image (see
+  // Conv2d::forward).
   if (const QuantWeight* qw = weight_.qweight; qw != nullptr) {
     RP_REQUIRE(qw->rows == cout_ && qw->cols == patch,
                "conv1d int8 weight view shape mismatch");
-    const std::size_t panel = static_cast<std::size_t>(ol) * patch;
-    const std::size_t out_panel = static_cast<std::size_t>(cout_) * ol;
-    patch_rows_.resize(panel);
-    qact_.resize(static_cast<std::size_t>(n) * panel);
-    qscale_.resize(static_cast<std::size_t>(n) * ol);
-    acc_.resize(static_cast<std::size_t>(n) * out_panel);
-    for (int b = 0; b < n; ++b) {
-      im2col1d_rows(xp + static_cast<std::size_t>(b) * cin_ * len, cin_, len,
-                    k_, stride_, pad_, ol, patch_rows_.data());
-      kernels::quantize_rows(patch_rows_.data(), qact_.data() + b * panel,
-                             qscale_.data() + static_cast<std::size_t>(b) * ol,
-                             ol, patch);
-    }
-    kernels::qgemm_wgt_act_batched(
-        qw->q.data(), qact_.data(), qw->row_sums.data(), acc_.data(), cout_,
-        patch, ol, n, static_cast<std::int64_t>(panel),
-        static_cast<std::int64_t>(out_panel), /*accumulate=*/false);
-    for (int b = 0; b < n; ++b) {
-      kernels::requantize(
-          acc_.data() + b * out_panel, qw->scales.data(),
-          qscale_.data() + static_cast<std::size_t>(b) * ol,
-          has_bias_ ? bias_.value.cdata() : nullptr,
-          has_bias_ ? kernels::BiasAxis::kPerRow : kernels::BiasAxis::kNone,
-          yp + b * out_panel, cout_, ol);
-    }
+    kernels::qconv(xp, qw->q.data(), qw->row_sums.data(), qw->scales.data(),
+                   has_bias_ ? bias_.value.cdata() : nullptr,
+                   {.batch = n, .cin = cin_, .h = 1, .w = len, .cout = cout_,
+                    .kh = 1, .kw = k_, .stride_h = 1, .stride_w = stride_,
+                    .pad_h = 0, .pad_w = pad_},
+                   yp);
     return y;
   }
 

@@ -28,12 +28,6 @@ class Conv1d final : public Module {
   /// im2col scratch, reused across calls (grown on demand).
   std::vector<float> col_;
   std::vector<float> gcol_;
-  // Int8-path scratch (same scheme as Conv2d: transposed patches, batch as
-  // one strided kernel call).
-  std::vector<float> patch_rows_;
-  std::vector<std::int8_t> qact_;
-  std::vector<float> qscale_;
-  std::vector<std::int32_t> acc_;
 };
 
 }  // namespace rowpress::nn

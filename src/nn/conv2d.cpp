@@ -52,77 +52,6 @@ void im2col(const float* x, int cin, int h, int w, int k, int stride, int pad,
   }
 }
 
-// Strip-wise transposed im2col for the int8 path: fills the patch rows
-// [ow, Cin*k*k] of ONE output row i of the [OH*OW, Cin*k*k] matrix — one
-// patch per ROW, so per-position activation quantization and the NT-style
-// int8 GEMM (contiguous reduction rows, see kernels/qgemm.h) both read
-// contiguously.  Working a strip at a time lets the caller quantize each
-// strip while it is still L1-resident, so the full float panel is never
-// materialized (or re-read).
-//
-// The j loop is split into a padded prefix, an interior run, and a padded
-// suffix so the hot interior copies k contiguous floats per position with
-// no per-element bounds checks (for kj in [0,k) the source indices
-// j*stride - pad + kj are consecutive).  The kernel width is a template
-// parameter so the compiler fully unrolls the k-wide copies — with a
-// runtime k the 1/3/5-iteration inner loops cost more than the int8 GEMM
-// they feed.  The old all-positions-checked form was slower still.
-template <int K>
-void im2col_strip_impl(const float* x, int cin, int h, int w, int k,
-                       int stride, int pad, int ow, int i, float* rows) {
-  if constexpr (K > 0) k = K;  // compile-time kernel width when dispatched
-  const int patch = cin * k * k;
-  // Interior columns: every kj tap lands inside [0, w).
-  int j_lo = (pad + stride - 1) / stride;
-  if (j_lo > ow) j_lo = ow;
-  int j_hi = w - k + pad < 0 ? 0 : (w - k + pad) / stride + 1;
-  if (j_hi > ow) j_hi = ow;
-  if (j_hi < j_lo) j_hi = j_lo;
-  for (int ci = 0; ci < cin; ++ci) {
-    const float* plane = x + static_cast<std::size_t>(ci) * h * w;
-    for (int ki = 0; ki < k; ++ki) {
-      float* drow = rows + (static_cast<std::size_t>(ci) * k + ki) * k;
-      const int hi = i * stride - pad + ki;
-      if (hi < 0 || hi >= h) {
-        for (int j = 0; j < ow; ++j) {
-          float* dst = drow + static_cast<std::size_t>(j) * patch;
-          for (int kj = 0; kj < k; ++kj) dst[kj] = 0.0f;
-        }
-        continue;
-      }
-      const float* src = plane + static_cast<std::size_t>(hi) * w;
-      auto edge = [&](int j) {
-        float* dst = drow + static_cast<std::size_t>(j) * patch;
-        for (int kj = 0; kj < k; ++kj) {
-          const int wj = j * stride - pad + kj;
-          dst[kj] = (wj >= 0 && wj < w) ? src[wj] : 0.0f;
-        }
-      };
-      for (int j = 0; j < j_lo; ++j) edge(j);
-      for (int j = j_lo; j < j_hi; ++j) {
-        float* dst = drow + static_cast<std::size_t>(j) * patch;
-        const float* s = src + (j * stride - pad);
-        for (int kj = 0; kj < k; ++kj) dst[kj] = s[kj];
-      }
-      for (int j = j_hi; j < ow; ++j) edge(j);
-    }
-  }
-}
-
-void im2col_strip(const float* x, int cin, int h, int w, int k, int stride,
-                  int pad, int ow, int i, float* rows) {
-  switch (k) {
-    case 1:
-      return im2col_strip_impl<1>(x, cin, h, w, k, stride, pad, ow, i, rows);
-    case 3:
-      return im2col_strip_impl<3>(x, cin, h, w, k, stride, pad, ow, i, rows);
-    case 5:
-      return im2col_strip_impl<5>(x, cin, h, w, k, stride, pad, ow, i, rows);
-    default:
-      return im2col_strip_impl<0>(x, cin, h, w, k, stride, pad, ow, i, rows);
-  }
-}
-
 // col2im: scatter-adds a [Cin*k*k, OH*OW] gradient matrix back to [Cin,H,W].
 void col2im(const float* col, int cin, int h, int w, int k, int stride,
             int pad, int oh, int ow, float* x) {
@@ -190,42 +119,18 @@ Tensor Conv2d::forward(const Tensor& x) {
   const float* xp = x.cdata();
   const float* wp = weight_.value.cdata();
 
-  // Int8 path: transposed im2col per sample (patches as rows), per-patch
-  // activation quantization, then the WHOLE batch as one strided int8 GEMM
-  // followed by per-sample requantization.  Float path below stays the
-  // reference oracle; backward always runs float.
+  // Int8 path: one fused kernel call quantizes the patches, runs the int8
+  // GEMM and requantizes (kernels/qgemm.h).  The float path below stays
+  // the reference oracle; backward always runs float.
   if (const QuantWeight* qw = weight_.qweight; qw != nullptr) {
     RP_REQUIRE(qw->rows == cout_ && qw->cols == patch,
                "conv2d int8 weight view shape mismatch");
-    const std::size_t panel = static_cast<std::size_t>(spatial) * patch;
-    const std::size_t out_panel = static_cast<std::size_t>(cout_) * spatial;
-    patch_rows_.resize(static_cast<std::size_t>(ow) * patch);
-    qact_.resize(static_cast<std::size_t>(n) * panel);
-    qscale_.resize(static_cast<std::size_t>(n) * spatial);
-    acc_.resize(static_cast<std::size_t>(n) * out_panel);
-    for (int b = 0; b < n; ++b) {
-      const float* xb = xp + static_cast<std::size_t>(b) * cin_ * h * w;
-      for (int i = 0; i < oh; ++i) {
-        const std::size_t row0 =
-            static_cast<std::size_t>(b) * spatial + static_cast<std::size_t>(i) * ow;
-        im2col_strip(xb, cin_, h, w, k_, stride_, pad_, ow, i,
-                     patch_rows_.data());
-        kernels::quantize_rows(patch_rows_.data(), qact_.data() + row0 * patch,
-                               qscale_.data() + row0, ow, patch);
-      }
-    }
-    kernels::qgemm_wgt_act_batched(
-        qw->q.data(), qact_.data(), qw->row_sums.data(), acc_.data(), cout_,
-        patch, spatial, n, static_cast<std::int64_t>(panel),
-        static_cast<std::int64_t>(out_panel), /*accumulate=*/false);
-    for (int b = 0; b < n; ++b) {
-      kernels::requantize(
-          acc_.data() + b * out_panel, qw->scales.data(),
-          qscale_.data() + static_cast<std::size_t>(b) * spatial,
-          has_bias_ ? bias_.value.cdata() : nullptr,
-          has_bias_ ? kernels::BiasAxis::kPerRow : kernels::BiasAxis::kNone,
-          yp + b * out_panel, cout_, spatial);
-    }
+    kernels::qconv(xp, qw->q.data(), qw->row_sums.data(), qw->scales.data(),
+                   has_bias_ ? bias_.value.cdata() : nullptr,
+                   {.batch = n, .cin = cin_, .h = h, .w = w, .cout = cout_,
+                    .kh = k_, .kw = k_, .stride_h = stride_,
+                    .stride_w = stride_, .pad_h = pad_, .pad_w = pad_},
+                   yp);
     return y;
   }
 

@@ -30,13 +30,6 @@ class Conv2d final : public Module {
   /// instead of reallocated per sample.
   std::vector<float> col_;
   std::vector<float> gcol_;
-  // Int8-path scratch: one transposed-im2col float staging row block plus
-  // whole-batch activation codes/scales and int32 accumulators (the batch
-  // runs as ONE strided kernel call).
-  std::vector<float> patch_rows_;
-  std::vector<std::int8_t> qact_;
-  std::vector<float> qscale_;
-  std::vector<std::int32_t> acc_;
 };
 
 }  // namespace rowpress::nn

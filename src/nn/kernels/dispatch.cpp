@@ -60,6 +60,7 @@ Backend resolve_default() {
 
 thread_local telemetry::Histogram* t_gemm_hist = nullptr;
 thread_local telemetry::Histogram* t_qgemm_hist = nullptr;
+thread_local telemetry::Histogram* t_qpack_hist = nullptr;
 
 // Timed dispatch: clock reads only happen on threads that bound a registry.
 template <typename F>
@@ -148,16 +149,19 @@ void bind_metrics(telemetry::MetricsRegistry* metrics) {
   if (metrics == nullptr) {
     t_gemm_hist = nullptr;
     t_qgemm_hist = nullptr;
+    t_qpack_hist = nullptr;
     return;
   }
   static const std::vector<double> kBounds{
       1e3, 4e3, 16e3, 64e3, 256e3, 1e6, 4e6, 16e6, 64e6};
   t_gemm_hist = &metrics->histogram("kernels.gemm_ns", kBounds);
   t_qgemm_hist = &metrics->histogram("kernels.qgemm_ns", kBounds);
+  t_qpack_hist = &metrics->histogram("kernels.qpack_ns", kBounds);
 }
 
 namespace detail {
 telemetry::Histogram* bound_qgemm_histogram() { return t_qgemm_hist; }
+telemetry::Histogram* bound_qpack_histogram() { return t_qpack_hist; }
 }  // namespace detail
 
 void gemm_nn(const float* a, const float* b, float* c, int m, int k, int n) {

@@ -36,6 +36,10 @@ bool vnni_runtime_supported();
 /// thread-locals; qgemm.cpp reads it to time the int8 entry points.
 telemetry::Histogram* bound_qgemm_histogram();
 
+/// The calling thread's bound "kernels.qpack_ns" histogram (qconv's
+/// quantize-and-pack stage), or null when unbound.
+telemetry::Histogram* bound_qpack_histogram();
+
 void portable_gemm_nn(const float* a, const float* b, float* c, int m, int k,
                       int n);
 void portable_gemm_nt(const float* a, const float* b, float* c, int m, int k,

@@ -97,9 +97,10 @@ std::string cpu_features_string();
 void record_backend_gauges(telemetry::MetricsRegistry& metrics);
 
 /// Binds the calling thread's kernel telemetry to `metrics` (idempotently
-/// registering the "kernels.gemm_ns" histogram there) — or detaches it when
-/// null.  Thread-local: each attack worker binds its own registry, so
-/// recording needs no synchronization beyond the histogram's own atomics.
+/// registering the "kernels.gemm_ns", "kernels.qgemm_ns" and
+/// "kernels.qpack_ns" histograms there) — or detaches it when null.
+/// Thread-local: each attack worker binds its own registry, so recording
+/// needs no synchronization beyond the histogram's own atomics.
 /// Unbound threads skip the clock reads entirely.
 void bind_metrics(telemetry::MetricsRegistry* metrics);
 

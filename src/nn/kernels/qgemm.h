@@ -22,8 +22,10 @@
 //
 // Operand convention: both operands are row-major with contiguous
 // reduction (K) rows, i.e. every kernel is an NT-style "rows of X dot rows
-// of Y" product.  Layers stage activations into that layout (linear
-// already has it; conv uses a transposed im2col).
+// of Y" product.  Linear stages its activations into that layout; the
+// convolutions instead call qconv(), which quantizes straight from the
+// NCHW input into its own tile layout and reproduces the composed
+// quantize_rows -> qgemm_wgt_act -> requantize contract bit for bit.
 //
 // Threading: entry points split the output row-blocks (and batch panels)
 // of one call across a lazily created runtime::ThreadPool when
@@ -101,6 +103,45 @@ void qgemm_wgt_act_batched(const std::int8_t* wgt, const std::int8_t* act,
                            int m, int k, int n, int batch,
                            std::int64_t act_stride, std::int64_t c_stride,
                            bool accumulate);
+
+/// Shape of one int8 convolution: NCHW input x[batch, cin, h, w], weight
+/// codes [cout, patch()] with the reduction in (ci, ki, kj) order, output
+/// y[batch, cout, out_h(), out_w()].  Zero padding is symmetric per axis.
+/// Conv1d is the h = kh = 1, stride_h = 1, pad_h = 0 case.
+struct QConvShape {
+  int batch = 1, cin = 1, h = 1, w = 1, cout = 1;
+  int kh = 1, kw = 1;
+  int stride_h = 1, stride_w = 1;
+  int pad_h = 0, pad_w = 0;
+
+  int out_h() const { return (h + 2 * pad_h - kh) / stride_h + 1; }
+  int out_w() const { return (w + 2 * pad_w - kw) / stride_w + 1; }
+  int patch() const { return cin * kh * kw; }
+};
+
+/// Fused int8 convolution — the whole int8 branch of Conv2d/Conv1d.
+/// Bit-identical to the composition it replaces: for every output position
+/// p, its zero-padded patch row v_p (im2col order) is quantized by the
+/// quantize_rows() contract into codes q_p and scale_p, then
+///   acc[co, p] = sum_k wgt[co, k] * q_p[k]          (exact int32)
+///   y[b, co, p] = fmaf((float)acc, wgt_scales[co] * scale_p,
+///                      bias != null ? bias[co] : 0.0f)
+/// i.e. requantize() with row_scale = wgt_scales, col_scale = the patch
+/// scales and a per-row bias.  `wgt_row_sums[cout]` as for the GEMMs.
+///
+/// Two stages, timed into the bound kernel histograms (see bind_metrics):
+///   1. "kernels.qpack_ns": quantize activations from the input straight
+///      into tiles of 16 output positions, stored [K/4][16][4] and biased
+///      to unsigned, plus the per-call weight pack;
+///   2. "kernels.qgemm_ns": per tile, a microkernel holding 8 output
+///      channels x 16 positions in registers (VNNI dpbusd; AVX2 madd;
+///      a scalar loop on naive/portable) whose epilogue requantizes and
+///      stores the valid positions into NCHW.
+/// Every lane runs its own position's exact op sequence, so the result is
+/// identical for every backend and gemm_threads() value.
+void qconv(const float* x, const std::int8_t* wgt,
+           const std::int32_t* wgt_row_sums, const float* wgt_scales,
+           const float* bias, const QConvShape& shape, float* y);
 
 /// Intra-op thread count used by the GEMM entry points.  Resolved once,
 /// lazily: ROWPRESS_GEMM_THREADS when set (clamped to >= 1), otherwise 1 —

@@ -4,14 +4,19 @@
 // is only meaningful if runs are exactly replayable per seed.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <string>
+#include <vector>
 
 #include "attack/runner.h"
+#include "common/crc32.h"
 #include "data/vision_synth.h"
 #include "exp/experiment.h"
 #include "models/resnet.h"
+#include "models/zoo.h"
 #include "nn/kernels/kernels.h"
 #include "nn/kernels/qgemm.h"
+#include "nn/quant/qmodel.h"
 #include "profile/profiler.h"
 #include "search/runner.h"
 #include "test_util.h"
@@ -244,6 +249,101 @@ TEST_F(DeterminismTest, BnbSearchIsBitIdenticalAcrossThreadsAndEvalModes) {
   expect_same(run_bnb(42, /*threads=*/1, /*incremental=*/false, &full_stats),
               "full-forward eval");
   EXPECT_EQ(full_stats.nodes_expanded, base_stats.nodes_expanded);
+}
+
+// End-to-end pin of the int8 inference path: CRC32 of a zoo model's int8
+// logits at batch sizes 1, 3, 8 and 16, on every backend and at 1 and 3
+// intra-op threads, once clean and once after sign-bit flips (so
+// post-attack -128 codes flow through the same kernels).  ResNet-20 covers
+// every Conv2d shape of the network (stem, stride-1 3x3, stride-2 3x3, 1x1
+// downsample) plus the int8 Linear head; M11 covers Conv1d.  Inputs come
+// from a self-contained xorshift stream (exact binary fractions, no libm);
+// weights from the zoo factory's seeded init.  The constants were
+// recorded with the strip-im2col conv path (per-patch quantize_rows, then
+// qgemm_wgt_act_batched, then requantize) that the fused conv kernels
+// replaced, on the reference build environment (GCC 12.2, x86-64, Release
+// -O3 -march=native).
+struct LogitsGolden {
+  std::vector<std::uint32_t> clean, flipped;
+};
+
+void expect_int8_logits_golden(const char* model_name,
+                               std::vector<int> sample_shape,
+                               const LogitsGolden& want) {
+  namespace k = nn::kernels;
+  const auto zoo = models::model_zoo();
+  const models::ModelSpec& spec = models::find_model(zoo, model_name);
+  Rng rng(2025);
+  auto model = spec.factory(rng);
+  model->set_training(false);
+  nn::QuantizedModel qm(*model);
+  qm.set_int8_execution(true);
+
+  std::int64_t per_sample = 1;
+  for (const int d : sample_shape) per_sample *= d;
+  std::vector<float> inputs(static_cast<std::size_t>(16 * per_sample));
+  std::uint32_t s = 0x9E3779B9u;
+  for (auto& v : inputs) {
+    s ^= s << 13;
+    s ^= s >> 17;
+    s ^= s << 5;
+    v = static_cast<float>(static_cast<int>(s % 4096u) - 2048) / 1024.0f;
+  }
+  const auto all_crcs = [&] {
+    std::vector<std::uint32_t> out;
+    for (const int batch : {1, 3, 8, 16}) {
+      std::vector<int> shape{batch};
+      shape.insert(shape.end(), sample_shape.begin(), sample_shape.end());
+      nn::Tensor x(shape);
+      for (std::int64_t i = 0; i < x.numel(); ++i)
+        x[i] = inputs[static_cast<std::size_t>(i)];
+      const nn::Tensor y = model->forward(x);
+      for (std::int64_t i = 0; i < y.numel(); ++i)
+        EXPECT_TRUE(std::isfinite(y[i])) << model_name << " logit " << i;
+      out.push_back(crc32(y.cdata(), static_cast<std::size_t>(y.numel()) *
+                                         sizeof(float)));
+    }
+    return out;
+  };
+  const auto check_all = [&](const std::vector<std::uint32_t>& golden,
+                             const char* what) {
+    const k::Backend saved = k::active_backend();
+    for (const k::Backend b :
+         {k::Backend::kNaive, k::Backend::kPortable, k::Backend::kAvx2,
+          k::Backend::kVnni}) {
+      if (!k::backend_available(b)) continue;
+      k::set_backend(b);
+      for (const int threads : {1, 3}) {
+        k::set_gemm_threads(threads);
+        const auto got = all_crcs();
+        for (std::size_t i = 0; i < got.size(); ++i) {
+          EXPECT_EQ(got[i], golden[i])
+              << model_name << " " << what << " " << k::backend_name(b)
+              << " x" << threads << " batch case " << i;
+        }
+      }
+    }
+    k::set_gemm_threads(1);
+    k::set_backend(saved);
+  };
+  check_all(want.clean, "clean");
+  for (int p = 0; p < static_cast<int>(qm.num_qparams()); ++p)
+    (void)qm.apply_bit_flip({p, 0, 7});
+  check_all(want.flipped, "flipped");
+}
+
+TEST(Int8LogitsGolden, ResNet20MatchesCommittedCrcs) {
+  expect_int8_logits_golden(
+      "ResNet-20", {1, 12, 12},
+      {{0xBC255EE6u, 0x1A760D5Bu, 0x984548C6u, 0x4FD36965u},
+       {0x4B749F60u, 0x187E7036u, 0x8D3F2425u, 0x012CEA4Bu}});
+}
+
+TEST(Int8LogitsGolden, M11MatchesCommittedCrcs) {
+  expect_int8_logits_golden(
+      "M11", {1, 256},
+      {{0x4A03E9A6u, 0x55AA99B7u, 0xEA930D8Bu, 0x2D768523u},
+       {0xAE15F2EFu, 0xB88EEAC4u, 0x744E69BEu, 0xDDC62FEAu}});
 }
 
 TEST_F(DeterminismTest, DifferentSeedsChangeTheMappingOrBatches) {

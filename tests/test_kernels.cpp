@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <cstring>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "nn/kernels/qgemm.h"
@@ -393,6 +394,211 @@ INSTANTIATE_TEST_SUITE_P(Backends, QgemmGolden,
                            return std::string(backend_name(info.param));
                          });
 
+// --- Fused int8 convolution ---------------------------------------------
+//
+// qconv must reproduce, bit for bit, the composed path it replaced: a float
+// im2col, per-patch quantize_rows, the exact int32 product, and
+// requantize.  The reference below is that composition, built only from
+// the pinned entry points (ref::qgemm_nt for the integer product).
+
+std::vector<float> reference_qconv(const std::vector<float>& x,
+                                   const std::vector<std::int8_t>& wgt,
+                                   const std::vector<float>& wscale,
+                                   const float* bias, const QConvShape& s) {
+  const int oh = s.out_h(), ow = s.out_w(), k = s.patch();
+  const int spatial = oh * ow;
+  std::vector<float> rows(static_cast<std::size_t>(spatial) * k);
+  std::vector<std::int8_t> q(rows.size());
+  std::vector<float> qscale(static_cast<std::size_t>(spatial));
+  std::vector<std::int32_t> acc(static_cast<std::size_t>(s.cout) * spatial);
+  std::vector<float> y(static_cast<std::size_t>(s.batch) * s.cout * spatial);
+  for (int b = 0; b < s.batch; ++b) {
+    const float* xb =
+        x.data() + static_cast<std::size_t>(b) * s.cin * s.h * s.w;
+    for (int i = 0; i < oh; ++i) {
+      for (int j = 0; j < ow; ++j) {
+        float* row = rows.data() + static_cast<std::size_t>(i * ow + j) * k;
+        for (int ci = 0; ci < s.cin; ++ci) {
+          for (int ki = 0; ki < s.kh; ++ki) {
+            for (int kj = 0; kj < s.kw; ++kj) {
+              const int hi = i * s.stride_h - s.pad_h + ki;
+              const int wi = j * s.stride_w - s.pad_w + kj;
+              const bool in = hi >= 0 && hi < s.h && wi >= 0 && wi < s.w;
+              row[(ci * s.kh + ki) * s.kw + kj] =
+                  in ? xb[(static_cast<std::size_t>(ci) * s.h + hi) * s.w + wi]
+                     : 0.0f;
+            }
+          }
+        }
+      }
+    }
+    quantize_rows(rows.data(), q.data(), qscale.data(), spatial, k);
+    ref::qgemm_nt(wgt.data(), q.data(), acc.data(), s.cout, k, spatial,
+                  /*accumulate=*/false);
+    requantize(acc.data(), wscale.data(), qscale.data(), bias,
+               bias != nullptr ? BiasAxis::kPerRow : BiasAxis::kNone,
+               y.data() + static_cast<std::size_t>(b) * s.cout * spatial,
+               s.cout, spatial);
+  }
+  return y;
+}
+
+struct QconvCase {
+  QConvShape shape;
+  std::vector<float> x;
+  std::vector<std::int8_t> wgt;
+  std::vector<std::int32_t> sums;
+  std::vector<float> wscale, bias;
+  bool has_bias = false;
+};
+
+// Random case; `hostile` plants the patches the quantizer special-cases:
+// an all-zero sample, an all-NaN sample, scattered NaN/+-Inf, -128 weight
+// codes (a sign-bit flip of code 0) and -0.0 biases.
+QconvCase make_qconv_case(const QConvShape& shape, bool has_bias, bool hostile,
+                          Rng& rng) {
+  QconvCase c;
+  c.shape = shape;
+  c.has_bias = has_bias;
+  const int k = shape.patch();
+  c.x.resize(static_cast<std::size_t>(shape.batch) * shape.cin * shape.h *
+             shape.w);
+  for (auto& v : c.x)
+    v = static_cast<float>(rng.normal() * std::exp(rng.uniform(-3.0, 3.0)));
+  c.wgt.resize(static_cast<std::size_t>(shape.cout) * k);
+  for (auto& v : c.wgt)
+    v = static_cast<std::int8_t>(static_cast<int>(rng.uniform_u64(255)) - 127);
+  c.wscale.resize(static_cast<std::size_t>(shape.cout));
+  for (auto& v : c.wscale) v = static_cast<float>(rng.uniform(1e-4, 1e-1));
+  c.bias.resize(static_cast<std::size_t>(shape.cout));
+  for (auto& v : c.bias) v = static_cast<float>(rng.normal());
+  if (hostile) {
+    const std::size_t per_sample = c.x.size() / shape.batch;
+    std::fill_n(c.x.begin(), per_sample, 0.0f);  // every patch all-zero
+    if (shape.batch > 1)                          // every patch all-NaN
+      std::fill_n(c.x.begin() + static_cast<std::ptrdiff_t>(per_sample),
+                  per_sample, NAN);
+    const float specials[] = {NAN, INFINITY, -INFINITY, -0.0f};
+    for (std::size_t i = 2 * per_sample; i < c.x.size(); i += 37)
+      c.x[i] = specials[(i / 37) % 4];
+    for (std::size_t i = 0; i < c.wgt.size(); i += 5) c.wgt[i] = -128;
+    // A -0.0 bias keeps the sign of fma(acc, scale 0, bias)'s zero product
+    // visible: a zero patch must still contribute acc = 0, not just scale 0.
+    for (std::size_t i = 0; i < c.bias.size(); i += 2) c.bias[i] = -0.0f;
+  }
+  c.sums = row_sums_of(c.wgt, shape.cout, k);
+  return c;
+}
+
+std::vector<float> run_qconv(const QconvCase& c) {
+  std::vector<float> y(static_cast<std::size_t>(c.shape.batch) * c.shape.cout *
+                       c.shape.out_h() * c.shape.out_w());
+  qconv(c.x.data(), c.wgt.data(), c.sums.data(), c.wscale.data(),
+        c.has_bias ? c.bias.data() : nullptr, c.shape, y.data());
+  return y;
+}
+
+void expect_bits_equal(const std::vector<float>& got,
+                       const std::vector<float>& want,
+                       const std::string& what) {
+  ASSERT_EQ(got.size(), want.size()) << what;
+  for (std::size_t i = 0; i < want.size(); ++i)
+    ASSERT_EQ(std::memcmp(&got[i], &want[i], sizeof(float)), 0)
+        << what << " i=" << i << " got=" << got[i] << " want=" << want[i];
+}
+
+std::string describe(const QConvShape& s, bool bias) {
+  return "b=" + std::to_string(s.batch) + " cin=" + std::to_string(s.cin) +
+         " cout=" + std::to_string(s.cout) + " h=" + std::to_string(s.h) +
+         " w=" + std::to_string(s.w) + " k=" + std::to_string(s.kh) + "x" +
+         std::to_string(s.kw) + " s=" + std::to_string(s.stride_h) + "," +
+         std::to_string(s.stride_w) + " p=" + std::to_string(s.pad_h) + "," +
+         std::to_string(s.pad_w) + (bias ? " bias" : "");
+}
+
+class QconvDifferential : public QgemmGolden {};
+
+TEST_P(QconvDifferential, MatchesComposedReferenceOnRandomShapes) {
+  Rng rng(1234);
+  const int kernels[] = {1, 3, 5};
+  const int strides[] = {1, 2, 4};
+  int cases = 0;
+  while (cases < 48) {
+    QConvShape s;
+    s.batch = static_cast<int>(rng.uniform_int(1, 9));
+    s.cin = static_cast<int>(rng.uniform_int(1, 40));
+    s.cout = static_cast<int>(rng.uniform_int(1, 70));
+    s.h = static_cast<int>(rng.uniform_int(1, 17));
+    s.w = static_cast<int>(rng.uniform_int(1, 17));
+    s.kh = s.kw = kernels[rng.uniform_u64(3)];
+    s.stride_h = s.stride_w = strides[rng.uniform_u64(3)];
+    s.pad_h = s.pad_w = static_cast<int>(rng.uniform_int(0, 2));
+    if (s.out_h() <= 0 || s.out_w() <= 0) continue;
+    // Keep the scalar reference affordable.
+    if (1LL * s.batch * s.out_h() * s.out_w() * s.patch() * s.cout > 3'000'000)
+      continue;
+    const bool bias = rng.uniform_u64(2) == 1;
+    const bool hostile = cases % 4 == 0;
+    const QconvCase c = make_qconv_case(s, bias, hostile, rng);
+    const auto want = reference_qconv(c.x, c.wgt, c.wscale,
+                                      bias ? c.bias.data() : nullptr, s);
+    for (const int threads : {1, 2, 8}) {
+      set_gemm_threads(threads);
+      expect_bits_equal(run_qconv(c), want,
+                        describe(s, bias) + (hostile ? " hostile" : "") +
+                            " threads=" + std::to_string(threads));
+    }
+    ++cases;
+  }
+}
+
+// Fixed corners the random draw may miss: the Conv1d form (h = kh = 1,
+// asymmetric stride and padding), 1x1 images, kernels overhanging the
+// padded input, channel counts straddling the 8-channel microkernel block,
+// and ResNet-20's own conv shapes.
+TEST_P(QconvDifferential, MatchesComposedReferenceOnFixedCorners) {
+  const QConvShape shapes[] = {
+      {.batch = 3, .cin = 1, .h = 1, .w = 64, .cout = 12, .kh = 1, .kw = 9,
+       .stride_h = 1, .stride_w = 2, .pad_h = 0, .pad_w = 4},
+      {.batch = 2, .cin = 12, .h = 1, .w = 31, .cout = 12, .kh = 1, .kw = 3,
+       .stride_h = 1, .stride_w = 1, .pad_h = 0, .pad_w = 1},
+      {.batch = 2, .cin = 3, .h = 1, .w = 1, .cout = 9, .kh = 1, .kw = 1},
+      {.batch = 2, .cin = 2, .h = 1, .w = 1, .cout = 17, .kh = 3, .kw = 3,
+       .stride_h = 1, .stride_w = 1, .pad_h = 1, .pad_w = 1},
+      {.batch = 1, .cin = 2, .h = 2, .w = 3, .cout = 7, .kh = 5, .kw = 5,
+       .stride_h = 4, .stride_w = 4, .pad_h = 1, .pad_w = 2},
+      {.batch = 4, .cin = 1, .h = 12, .w = 12, .cout = 8, .kh = 3, .kw = 3,
+       .stride_h = 1, .stride_w = 1, .pad_h = 1, .pad_w = 1},
+      {.batch = 4, .cin = 8, .h = 12, .w = 12, .cout = 16, .kh = 3, .kw = 3,
+       .stride_h = 2, .stride_w = 2, .pad_h = 1, .pad_w = 1},
+      {.batch = 4, .cin = 8, .h = 12, .w = 12, .cout = 16, .kh = 1, .kw = 1,
+       .stride_h = 2, .stride_w = 2},
+      {.batch = 5, .cin = 32, .h = 3, .w = 3, .cout = 33, .kh = 3, .kw = 3,
+       .stride_h = 1, .stride_w = 1, .pad_h = 1, .pad_w = 1},
+  };
+  Rng rng(99);
+  for (const QConvShape& s : shapes) {
+    for (const bool hostile : {false, true}) {
+      const QconvCase c = make_qconv_case(s, hostile, hostile, rng);
+      const auto want = reference_qconv(
+          c.x, c.wgt, c.wscale, c.has_bias ? c.bias.data() : nullptr, s);
+      for (const int threads : {1, 2, 8}) {
+        set_gemm_threads(threads);
+        expect_bits_equal(run_qconv(c), want,
+                          describe(s, c.has_bias) +
+                              (hostile ? " hostile" : "") +
+                              " threads=" + std::to_string(threads));
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Backends, QconvDifferential,
+                         ::testing::ValuesIn(available_backends()),
+                         [](const auto& info) {
+                           return std::string(backend_name(info.param));
+                         });
+
 // FP edges of the int8 path: the per-element sequences are pinned in
 // qgemm.h; these tests hold the documented edge cases in place.
 TEST(QgemmQuantize, PinnedEdgeCases) {
@@ -454,6 +660,34 @@ TEST(KernelDispatch, ScopedBindMetricsDetachesOnScopeExit) {
   EXPECT_EQ(recorded_in_scope, 1);
   gemm_nn(a.data(), b.data(), c.data(), 1, 2, 1);  // unbound: no recording
   EXPECT_EQ(hist.count(), recorded_in_scope);
+}
+
+// qconv reports its two stages into the bound registry — the pack into
+// kernels.qpack_ns, the microkernel + epilogue into kernels.qgemm_ns — and
+// records nothing once the binding is gone.
+TEST(KernelDispatch, QconvStagesRecordOnlyWhileBound) {
+  const QConvShape s{.batch = 2, .cin = 4, .h = 6, .w = 6, .cout = 8,
+                     .kh = 3, .kw = 3, .stride_h = 1, .stride_w = 1,
+                     .pad_h = 1, .pad_w = 1};
+  Rng rng(8);
+  const QconvCase c = make_qconv_case(s, false, false, rng);
+  telemetry::MetricsRegistry reg;
+  {
+    ScopedBindMetrics bound(&reg);
+    (void)run_qconv(c);
+    (void)run_qconv(c);
+  }
+  const std::vector<double> bounds{1e3,   4e3, 16e3, 64e3, 256e3,
+                                   1e6,   4e6, 16e6, 64e6};
+  const auto& pack = reg.histogram("kernels.qpack_ns", bounds);
+  const auto& gemm = reg.histogram("kernels.qgemm_ns", bounds);
+  EXPECT_EQ(pack.count(), 2);
+  EXPECT_EQ(gemm.count(), 2);
+  EXPECT_GT(pack.sum(), 0.0);
+  EXPECT_GT(gemm.sum(), 0.0);
+  (void)run_qconv(c);  // unbound: no recording
+  EXPECT_EQ(pack.count(), 2);
+  EXPECT_EQ(gemm.count(), 2);
 }
 
 TEST(KernelDispatch, BackendManagement) {
