@@ -5,8 +5,8 @@
 // Each iteration:
 //   1. compute dL/dW on the attack batch (eval-mode backward);
 //   2. intra-layer search: in every layer, among the *allowed* candidate
-//      bits, pick the one with the largest loss-increasing gradient score
-//      |∂L/∂w · Δw|;
+//      bits not yet committed, pick the one with the largest loss-increasing
+//      gradient score |∂L/∂w · Δw| (attack/candidates.h);
 //   3. inter-layer search: tentatively apply each layer's candidate,
 //      measure the batch loss, restore; elect the layer with maximum loss;
 //   4. commit that flip (irreversibly — a disturbed cell cannot be flipped
@@ -20,7 +20,6 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <vector>
 
 #include "attack/mapping.h"
@@ -46,12 +45,13 @@ struct BfaConfig {
   /// Samples used for the per-iteration accuracy check (strided over the
   /// eval set so class-ordered datasets stay stratified).
   int eval_samples = 256;
-  /// Evaluate inter-layer candidates incrementally: the gradient-pass
-  /// forward records every top-level child's input (copy-on-write shares),
-  /// and each tentative flip re-runs only the children from the flipped
-  /// layer onward.  Bitwise identical to full forward passes — a flip in
-  /// layer l cannot change the activations feeding l — so journals and
-  /// flip sequences are unaffected.  Applies when the model is a flat
+  /// Evaluate candidates incrementally (attack::SuffixEvaluator): the
+  /// gradient-pass forward records every top-level child's input
+  /// (copy-on-write shares), each tentative flip re-runs only the children
+  /// from the flipped layer onward, and so does the accuracy check after a
+  /// commit.  Bitwise identical to full forward passes — a flip in layer l
+  /// cannot change the activations feeding l — so journals and flip
+  /// sequences are unaffected.  Applies when the model is a flat
   /// Sequential; other models silently fall back to full passes.
   bool incremental_eval = true;
   /// Run forward passes (gradient pass, tentative-flip replay, accuracy
@@ -114,21 +114,10 @@ class ProgressiveBitFlipAttack {
                                  const data::Dataset& eval_data);
 
  private:
-  struct Candidate {
-    nn::WeightBitRef ref;
-    double score = 0.0;  ///< predicted loss increase, grad * delta
-  };
-
   AttackResult run_impl(nn::QuantizedModel& qmodel,
                         const std::vector<FeasibleBit>* feasible,
                         const data::Dataset& attack_data,
                         const data::Dataset& eval_data);
-
-  /// Best loss-increasing candidate per layer given current gradients.
-  std::vector<std::optional<Candidate>> intra_layer_search(
-      const nn::QuantizedModel& qmodel,
-      const std::vector<FeasibleBit>* feasible,
-      const std::vector<bool>* feasible_used) const;
 
   BfaConfig config_;
   Rng* rng_;
@@ -139,8 +128,8 @@ class ProgressiveBitFlipAttack {
     telemetry::Counter* bits_evaluated = nullptr;
     telemetry::Counter* layer_trials = nullptr;
     telemetry::Counter* flips = nullptr;
-    /// Subset of forward_passes served by Sequential::forward_from (suffix
-    /// replay) instead of a full forward.
+    /// Subset of forward_passes served by SuffixEvaluator replay instead of
+    /// a full forward.
     telemetry::Counter* suffix_forward_passes = nullptr;
     telemetry::Gauge* candidate_pool = nullptr;
   };

@@ -6,6 +6,32 @@
 #include "nn/loss.h"
 
 namespace rowpress::attack {
+namespace {
+
+/// Maps each attackable qparam to the top-level Sequential child owning it
+/// (by Param identity).  Empty result = a param is owned elsewhere, or is
+/// shared by more than one child (weight tying — replaying from any single
+/// child would skip the other owners); the evaluator then runs full
+/// forwards.
+std::vector<int> map_qparams_to_children(nn::Sequential& seq,
+                                         const nn::QuantizedModel& qmodel) {
+  const auto& qparams = qmodel.qparams();
+  std::vector<int> child_of(qparams.size(), -1);
+  for (std::size_t c = 0; c < seq.size(); ++c) {
+    for (const nn::Param* p : seq.child(c).parameters()) {
+      for (std::size_t l = 0; l < qparams.size(); ++l) {
+        if (qparams[l].param != p) continue;
+        if (child_of[l] >= 0 && child_of[l] != static_cast<int>(c)) return {};
+        child_of[l] = static_cast<int>(c);
+      }
+    }
+  }
+  for (const int c : child_of)
+    if (c < 0) return {};
+  return child_of;
+}
+
+}  // namespace
 
 double batch_loss(nn::Module& model, const nn::Tensor& inputs,
                   const std::vector<int>& labels,
@@ -37,49 +63,64 @@ double subset_accuracy(nn::Module& model, const data::Dataset& ds,
          static_cast<double>(indices.size());
 }
 
-IncrementalEvaluator::IncrementalEvaluator(nn::Sequential& seq,
-                                           const data::Dataset& ds,
-                                           const std::vector<int>& indices)
-    : seq_(seq),
-      inputs_(data::gather_inputs(ds, indices)),
-      labels_(data::gather_labels(ds, indices)),
-      count_(indices.size()) {
-  RP_REQUIRE(!indices.empty(), "IncrementalEvaluator needs samples");
+std::vector<int> draw_batch(Rng& rng, int n, int dataset_size) {
+  std::vector<int> idx(static_cast<std::size_t>(n));
+  for (int& i : idx)
+    i = static_cast<int>(
+        rng.uniform_u64(static_cast<std::uint64_t>(dataset_size)));
+  return idx;
 }
 
-double IncrementalEvaluator::accuracy_of(const nn::Tensor& logits) const {
-  // Same arithmetic as subset_accuracy: nn::accuracy is correct/n exactly,
-  // so the rounded product recovers the integer correct count and the
-  // final double matches the chunked path bit-for-bit.
+double accuracy_of(const nn::Tensor& logits, const std::vector<int>& labels) {
   const int correct = static_cast<int>(
-      nn::accuracy(logits, labels_) * static_cast<double>(count_) + 0.5);
-  return static_cast<double>(correct) / static_cast<double>(count_);
+      nn::accuracy(logits, labels) * static_cast<double>(labels.size()) + 0.5);
+  return static_cast<double>(correct) / static_cast<double>(labels.size());
 }
 
-double IncrementalEvaluator::full(telemetry::Counter* forward_passes) {
-  captures_.assign(seq_.size(), nn::Tensor());
-  if (forward_passes) forward_passes->add();
-  nn::Tensor cur = inputs_;
-  for (std::size_t i = 0; i < seq_.size(); ++i) {
-    captures_[i] = cur;
-    cur = seq_.child(i).forward(cur);
-  }
-  return accuracy_of(cur);
+SuffixEvaluator::SuffixEvaluator(nn::QuantizedModel& qmodel, bool incremental,
+                                 telemetry::Counter* forward_passes,
+                                 telemetry::Counter* suffix_passes)
+    : model_(qmodel.model()),
+      forward_passes_(forward_passes),
+      suffix_passes_(suffix_passes) {
+  auto* seq = incremental ? dynamic_cast<nn::Sequential*>(&model_) : nullptr;
+  if (seq == nullptr) return;
+  child_of_ = map_qparams_to_children(*seq, qmodel);
+  if (!child_of_.empty()) seq_ = seq;
 }
 
-double IncrementalEvaluator::from_child(std::size_t start,
-                                        telemetry::Counter* forward_passes,
-                                        telemetry::Counter* suffix_passes) {
-  RP_REQUIRE(!captures_.empty(), "from_child before full()");
-  RP_REQUIRE(start < seq_.size(), "from_child start out of range");
-  if (forward_passes) forward_passes->add();
-  if (suffix_passes) suffix_passes->add();
-  nn::Tensor cur = captures_[start];
-  for (std::size_t i = start; i < seq_.size(); ++i) {
-    if (i > start) captures_[i] = cur;
-    cur = seq_.child(i).forward(cur);
+nn::Tensor SuffixEvaluator::forward(const nn::Tensor& x) {
+  if (forward_passes_) forward_passes_->add();
+  if (!seq_) {
+    input_ = x;
+    return model_.forward(x);
   }
-  return accuracy_of(cur);
+  captures_.clear();  // release the old record before building the new one
+  captures_.reserve(seq_->size());
+  nn::Tensor cur = x;
+  for (std::size_t i = 0; i < seq_->size(); ++i) {
+    captures_.push_back(cur);  // COW share: no element copy here
+    cur = seq_->child(i).forward(cur);
+  }
+  return cur;
+}
+
+nn::Tensor SuffixEvaluator::replay(std::size_t c, bool refresh) {
+  if (forward_passes_) forward_passes_->add();
+  if (!seq_) {
+    RP_REQUIRE(!input_.empty(), "SuffixEvaluator replay before forward()");
+    return model_.forward(input_);
+  }
+  RP_REQUIRE(captures_.size() == seq_->size(),
+             "SuffixEvaluator replay before forward()");
+  RP_REQUIRE(c < seq_->size(), "SuffixEvaluator replay child out of range");
+  if (suffix_passes_) suffix_passes_->add();
+  nn::Tensor cur = captures_[c];
+  for (std::size_t i = c; i < seq_->size(); ++i) {
+    if (refresh && i > c) captures_[i] = cur;
+    cur = seq_->child(i).forward(cur);
+  }
+  return cur;
 }
 
 int argmax_row(const nn::Tensor& logits, int row) {
@@ -99,26 +140,6 @@ std::vector<int> strided_eval_indices(int n_eval, int dataset_size) {
     idx[static_cast<std::size_t>(i)] = static_cast<int>(
         static_cast<std::int64_t>(i) * dataset_size / n);
   return idx;
-}
-
-std::vector<int> map_qparams_to_children(nn::Module& model,
-                                         const nn::QuantizedModel& qmodel) {
-  auto* seq = dynamic_cast<nn::Sequential*>(&model);
-  if (seq == nullptr) return {};
-  const auto& qparams = qmodel.qparams();
-  std::vector<int> child_of(qparams.size(), -1);
-  for (std::size_t c = 0; c < seq->size(); ++c) {
-    for (const nn::Param* p : seq->child(c).parameters()) {
-      for (std::size_t l = 0; l < qparams.size(); ++l) {
-        if (qparams[l].param != p) continue;
-        if (child_of[l] >= 0 && child_of[l] != static_cast<int>(c)) return {};
-        child_of[l] = static_cast<int>(c);
-      }
-    }
-  }
-  for (const int c : child_of)
-    if (c < 0) return {};
-  return child_of;
 }
 
 }  // namespace rowpress::attack

@@ -12,9 +12,8 @@
 #include <cstdint>
 #include <vector>
 
-#include "common/bitutil.h"
+#include "common/rng.h"
 #include "data/dataset.h"
-#include "dram/cell_model.h"
 #include "nn/module.h"
 #include "nn/quant/qmodel.h"
 #include "telemetry/metric.h"
@@ -42,64 +41,78 @@ int argmax_row(const nn::Tensor& logits, int row);
 /// stratified.  n_eval is clamped to dataset_size.
 std::vector<int> strided_eval_indices(int n_eval, int dataset_size);
 
-/// Signed dequantized-weight change from flipping bit `b` of code `w` —
-/// the delta_w of the BFA candidate score |dL/dw * delta_w|.
-inline float flip_delta(std::int8_t w, int b, float scale) {
-  return static_cast<float>(int8_flip_delta(w, b)) * scale;
-}
+/// An attack batch: `n` sample indices drawn uniformly, with replacement,
+/// from [0, dataset_size) — one uniform_u64 draw each, in order.
+std::vector<int> draw_batch(Rng& rng, int n, int dataset_size);
 
-/// True if the physical cell's flip direction allows flipping the current
-/// bit value (a 0->1 cell can only raise a 0 bit, and vice versa).
-inline bool direction_allows(bool current_bit, dram::FlipDirection dir) {
-  return dir == dram::FlipDirection::kZeroToOne ? !current_bit : current_bit;
-}
+/// Top-1 accuracy of [N, C] logits against `labels`, with the same
+/// arithmetic as subset_accuracy: nn::accuracy is correct/N exactly, so the
+/// rounded product recovers the integer count and the double matches the
+/// chunked path bit for bit.
+double accuracy_of(const nn::Tensor& logits, const std::vector<int>& labels);
 
-/// Incremental top-1 accuracy over a fixed evaluation subset of `ds`.
+/// The suffix-replay evaluator every search measures tentative flips with —
+/// the single owner of captured activations.
 ///
-/// full() runs every child once and records each child's input for the
-/// whole eval batch; after a weight change confined to child `c`,
-/// from_child(c) replays only children [c, size()) from the recorded
-/// input — child c's *input* is unaffected by a change to its own
-/// weights — and refreshes the downstream records it recomputes, so
-/// successive changes may land in any child in any order.  Both entries
-/// return the same double subset_accuracy produces for the same indices:
-/// per-row GEMM FP sequences are batch-independent (file comment) and the
-/// replay runs the identical per-child forward code.  Memory cost is one
-/// eval-batch activation per child; intended for the per-flip accuracy
-/// trace, where the subset is a few hundred samples.
-class IncrementalEvaluator {
+/// When the model is a flat Sequential whose attackable params each belong
+/// to exactly one child (no weight tying), forward() records each child's
+/// input (copy-on-write shares); a flip in child c cannot change the
+/// activations feeding c, so try_from(c) / commit_from(c) re-run only
+/// children [c, size()) from the record.  Bit-identical to a full forward:
+/// the replay runs the same per-child forward code on the same input.
+/// Otherwise — or with `incremental` off — every call runs a full forward
+/// of the last forward() input, so callers never branch on the mode.
+///
+/// Every call adds one to `forward_passes`; replays also add one to
+/// `suffix_passes` (either counter may be null).
+class SuffixEvaluator {
  public:
-  IncrementalEvaluator(nn::Sequential& seq, const data::Dataset& ds,
-                       const std::vector<int>& indices);
+  SuffixEvaluator(nn::QuantizedModel& qmodel, bool incremental,
+                  telemetry::Counter* forward_passes = nullptr,
+                  telemetry::Counter* suffix_passes = nullptr);
 
-  /// Full forward over all children; records per-child inputs.
-  double full(telemetry::Counter* forward_passes = nullptr);
+  /// True when calls replay suffixes; false = every call is a full forward.
+  bool replays() const { return seq_ != nullptr; }
 
-  /// Replay from child `start` using the recorded inputs.  full() must
-  /// have run first.
-  double from_child(std::size_t start,
-                    telemetry::Counter* forward_passes = nullptr,
-                    telemetry::Counter* suffix_passes = nullptr);
+  /// Child a flip in qparam `param_index` must replay from (0 without
+  /// replay, where every call is a full forward anyway).
+  std::size_t child_of(int param_index) const {
+    return child_of_.empty()
+               ? 0
+               : static_cast<std::size_t>(
+                     child_of_[static_cast<std::size_t>(param_index)]);
+  }
+
+  /// Full forward of `x`, recording each child's input.  The gradient pass
+  /// backpropagates through this forward.
+  nn::Tensor forward(const nn::Tensor& x);
+
+  /// Replays from child `c` for a tentative flip; the record is left as the
+  /// last forward()/commit_from() wrote it.
+  nn::Tensor try_from(std::size_t c) { return replay(c, /*refresh=*/false); }
+
+  /// Replays from child `c` after a committed change confined to children
+  /// >= c, refreshing the record downstream of `c` — successive commits may
+  /// land in any child in any order.
+  nn::Tensor commit_from(std::size_t c) { return replay(c, /*refresh=*/true); }
+
+  /// Drops the record (frees one activation per child); the next call must
+  /// be forward().
+  void release() {
+    captures_.clear();
+    input_ = nn::Tensor();
+  }
 
  private:
-  double accuracy_of(const nn::Tensor& logits) const;
+  nn::Tensor replay(std::size_t c, bool refresh);
 
-  nn::Sequential& seq_;
-  nn::Tensor inputs_;
-  std::vector<int> labels_;
-  std::size_t count_ = 0;
-  /// captures_[i] = input fed to child i on the last evaluation that ran
-  /// child i (full() or a replay passing through it).
-  std::vector<nn::Tensor> captures_;
+  nn::Module& model_;
+  nn::Sequential* seq_ = nullptr;  ///< non-null => suffix replay
+  std::vector<int> child_of_;      ///< qparam -> Sequential child
+  telemetry::Counter* forward_passes_;
+  telemetry::Counter* suffix_passes_;
+  nn::Tensor input_;                  ///< last forward() input (full mode)
+  std::vector<nn::Tensor> captures_;  ///< captures_[i] = child i's input
 };
-
-/// Maps each attackable qparam to the top-level Sequential child owning it
-/// (by Param identity), so incremental candidate evaluation can re-run only
-/// the children a tentative flip can affect.  Empty result = model is not a
-/// flat Sequential, a param is owned elsewhere, or a param is shared by
-/// more than one child (weight tying — replaying from any single child
-/// would skip the other owners); callers fall back to full forward passes.
-std::vector<int> map_qparams_to_children(nn::Module& model,
-                                         const nn::QuantizedModel& qmodel);
 
 }  // namespace rowpress::attack

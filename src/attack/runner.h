@@ -9,6 +9,7 @@
 #include <memory>
 
 #include "attack/bfa.h"
+#include "attack/mapping.h"
 #include "data/dataset.h"
 #include "dram/address.h"
 #include "nn/serialize.h"
@@ -34,6 +35,24 @@ struct QuantizedReplica {
 QuantizedReplica make_quantized_replica(const models::ModelSpec& spec,
                                         const nn::ModelState& trained,
                                         Rng& init_rng);
+
+/// The starting state of one attack trial, drawn from its seed.
+struct PreparedTrial {
+  QuantizedReplica replica;
+  std::vector<FeasibleBit> feasible;  ///< empty without a profile
+  Rng rng;  ///< after the init fork and the placement draw: attack batches
+};
+
+/// The one trial setup every search shares: Rng(seed); a fork of it builds
+/// and quantizes the replica (int8 execution when `int8_eval`); then, given
+/// a profile and its geometry, the stream draws the weight->DRAM placement
+/// whose intersection with the profile is the feasible set.  Equal
+/// arguments give bit-identical replicas, placements and streams.
+PreparedTrial prepare_trial(const models::ModelSpec& spec,
+                            const nn::ModelState& trained, std::uint64_t seed,
+                            bool int8_eval,
+                            const profile::BitFlipProfile* prof = nullptr,
+                            const dram::Geometry* geom = nullptr);
 
 struct AttackRunSetup {
   BfaConfig bfa;

@@ -3,33 +3,8 @@
 namespace rowpress::nn {
 
 Tensor Sequential::forward(const Tensor& x) {
-  if (!capture_) {
-    Tensor cur = x;
-    for (auto& m : children_) cur = m->forward(cur);
-    return cur;
-  }
-  captured_inputs_.clear();
-  captured_inputs_.reserve(children_.size());
   Tensor cur = x;
-  for (auto& m : children_) {
-    captured_inputs_.push_back(cur);  // COW share: no element copy here
-    cur = m->forward(cur);
-  }
-  return cur;
-}
-
-void Sequential::set_capture_activations(bool capture) {
-  capture_ = capture;
-  if (!capture_) captured_inputs_.clear();
-}
-
-Tensor Sequential::forward_from(std::size_t start) {
-  RP_REQUIRE(captured_inputs_.size() == children_.size(),
-             "forward_from needs a prior capturing forward()");
-  RP_REQUIRE(start < children_.size(), "forward_from start out of range");
-  Tensor cur = captured_inputs_[start];
-  for (std::size_t i = start; i < children_.size(); ++i)
-    cur = children_[i]->forward(cur);
+  for (auto& m : children_) cur = m->forward(cur);
   return cur;
 }
 

@@ -103,30 +103,8 @@ class Sequential final : public Module {
   std::size_t size() const { return children_.size(); }
   Module& child(std::size_t i) { return *children_[i]; }
 
-  /// When enabled, forward() records each child's input (copy-on-write
-  /// shares, so no data is copied until someone writes).  The recorded
-  /// activations feed forward_from(); disabling clears them.
-  void set_capture_activations(bool capture);
-  bool capture_activations() const { return capture_; }
-  /// True once a captured full forward() has run (and its activations are
-  /// still held).
-  bool has_captured_activations() const {
-    return !captured_inputs_.empty();
-  }
-
-  /// Re-runs only children [start, size()) using the activation captured at
-  /// `start` by the last capturing forward().  Bitwise identical to a full
-  /// forward() as long as children [0, start) are unchanged since then.
-  /// Does NOT refresh the captures (the suffix children's caches are
-  /// overwritten, as with forward()).
-  Tensor forward_from(std::size_t start);
-
  private:
   std::vector<std::unique_ptr<Module>> children_;
-  bool capture_ = false;
-  /// captured_inputs_[i] = input fed to children_[i] on the last capturing
-  /// forward().
-  std::vector<Tensor> captured_inputs_;
 };
 
 /// y = x + body(x), with an optional projection on the skip path (used for

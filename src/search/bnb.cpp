@@ -63,23 +63,22 @@ attack::AttackResult BranchAndBoundSearch::run(
   const int threads = std::max(1, config_.threads);
   const int branch = std::max(1, config_.branch);
 
+  ExpandTelemetry etel;
+  etel.forward_passes = tel_.forward_passes;
+  etel.suffix_forward_passes = tel_.suffix_forward_passes;
+  etel.bits_evaluated = tel_.bits_evaluated;
   // One private, identical replica per pool worker; expansions never share
   // model state, which is what makes parallel rounds trivially safe.
   std::vector<NodeExpander> expanders;
   expanders.reserve(static_cast<std::size_t>(threads));
   for (int i = 0; i < threads; ++i)
-    expanders.emplace_back(make_replica(), bfa_, feasible);
+    expanders.emplace_back(make_replica(), bfa_, feasible, etel);
   runtime::ThreadPool pool(threads);
-
-  ExpandTelemetry etel;
-  etel.forward_passes = tel_.forward_passes;
-  etel.suffix_forward_passes = tel_.suffix_forward_passes;
-  etel.bits_evaluated = tel_.bits_evaluated;
 
   const std::vector<int> eval_idx =
       attack::strided_eval_indices(bfa_.eval_samples, eval_data.size());
   const double random_guess = eval_data.random_guess_accuracy();
-  const double acc0 = expanders[0].root_accuracy(eval_data, eval_idx, etel);
+  const double acc0 = expanders[0].root_accuracy(eval_data, eval_idx);
 
   attack::AttackResult result;
   result.accuracy_before = acc0;
@@ -184,7 +183,7 @@ attack::AttackResult BranchAndBoundSearch::run(
         const SearchNode& n = *batch[i];
         child_results[i] = expanders[static_cast<std::size_t>(w)].expand(
             n, branch, Rng::derive_stream(seed, n.key_hash), attack_data,
-            eval_data, eval_idx, etel);
+            eval_data, eval_idx);
         span.note("depth", static_cast<double>(n.depth));
         span.note("accuracy", n.accuracy);
         span.note("children",

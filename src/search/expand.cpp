@@ -1,13 +1,8 @@
 #include "search/expand.h"
 
-#include <algorithm>
-#include <unordered_set>
-
-#include "attack/eval.h"
-#include "common/check.h"
+#include "attack/candidates.h"
 #include "common/rng.h"
 #include "nn/loss.h"
-#include "nn/module.h"
 
 namespace rowpress::search {
 namespace {
@@ -18,45 +13,31 @@ void xor_chain(nn::QuantizedModel& qmodel,
   for (const auto& ref : chain) qmodel.apply_bit_flip(ref);
 }
 
-struct ScoredRef {
-  nn::WeightBitRef ref;
-  std::int64_t packed = 0;
-  double score = 0.0;
-};
-
-/// Deterministic rank: stronger score first, packed (param, weight, bit)
-/// order breaking exact ties.
-bool rank_before(const ScoredRef& a, const ScoredRef& b) {
-  if (a.score != b.score) return a.score > b.score;
-  return a.packed < b.packed;
-}
-
 }  // namespace
 
 NodeExpander::NodeExpander(attack::QuantizedReplica replica,
                            const attack::BfaConfig& bfa,
-                           const std::vector<attack::FeasibleBit>* feasible)
-    : replica_(std::move(replica)), bfa_(bfa), feasible_(feasible) {
+                           const std::vector<attack::FeasibleBit>* feasible,
+                           const ExpandTelemetry& tel)
+    : replica_(std::move(replica)),
+      bfa_(bfa),
+      feasible_(feasible),
+      tel_(tel),
+      eval_(*replica_.qmodel, bfa.incremental_eval, tel.forward_passes,
+            tel.suffix_forward_passes) {
   replica_.model->set_training(false);
-  if (bfa_.incremental_eval) {
-    child_of_ = attack::map_qparams_to_children(*replica_.model,
-                                                *replica_.qmodel);
-    if (!child_of_.empty())
-      seq_ = dynamic_cast<nn::Sequential*>(replica_.model.get());
-  }
 }
 
 double NodeExpander::root_accuracy(const data::Dataset& eval_data,
-                                   const std::vector<int>& eval_idx,
-                                   const ExpandTelemetry& tel) {
+                                   const std::vector<int>& eval_idx) {
   return attack::subset_accuracy(*replica_.model, eval_data, eval_idx,
-                                 tel.forward_passes);
+                                 tel_.forward_passes);
 }
 
 std::vector<ChildEval> NodeExpander::expand(
     const SearchNode& node, int branch, std::uint64_t batch_seed,
     const data::Dataset& attack_data, const data::Dataset& eval_data,
-    const std::vector<int>& eval_idx, const ExpandTelemetry& tel) {
+    const std::vector<int>& eval_idx) {
   nn::Module& model = *replica_.model;
   nn::QuantizedModel& qmodel = *replica_.qmodel;
   const std::vector<nn::WeightBitRef> chain = node.chain();
@@ -65,117 +46,45 @@ std::vector<ChildEval> NodeExpander::expand(
   // The node's attack batch: derived from the chain's canonical hash, so a
   // node is expanded onto the same batch no matter which worker draws it.
   Rng rng(batch_seed);
-  std::vector<int> batch_idx;
-  batch_idx.reserve(static_cast<std::size_t>(bfa_.attack_batch_size));
-  for (int i = 0; i < bfa_.attack_batch_size; ++i)
-    batch_idx.push_back(static_cast<int>(
-        rng.uniform_u64(static_cast<std::uint64_t>(attack_data.size()))));
-  const nn::Tensor batch_inputs = data::gather_inputs(attack_data, batch_idx);
+  const std::vector<int> batch_idx =
+      attack::draw_batch(rng, bfa_.attack_batch_size, attack_data.size());
   const std::vector<int> batch_labels =
       data::gather_labels(attack_data, batch_idx);
 
-  // Gradient pass; with incremental eval the forward also records each
-  // Sequential child's input for the suffix replays below.
+  // Gradient pass; the forward also records each child's input for the
+  // suffix replays below.
   nn::CrossEntropyLoss ce;
   model.zero_grad();
-  if (seq_) seq_->set_capture_activations(true);
-  if (tel.forward_passes) tel.forward_passes->add();
-  const nn::Tensor logits = model.forward(batch_inputs);
-  ce.forward(logits, batch_labels);
+  ce.forward(eval_.forward(data::gather_inputs(attack_data, batch_idx)),
+             batch_labels);
   model.backward(ce.backward());
 
   // Candidate scoring (BFA rule), global top-`branch` across all layers.
-  // Bits already in the chain are excluded — a disturbed cell cannot flip
-  // again.
-  std::unordered_set<std::int64_t> in_chain;
-  for (const auto& ref : chain) in_chain.insert(pack_ref(ref));
-  const auto& qparams = qmodel.qparams();
-  std::vector<ScoredRef> top;
-  std::int64_t bits_evaluated = 0;
-  auto consider = [&](const ScoredRef& cand) {
-    if (static_cast<int>(top.size()) < branch) {
-      top.insert(std::upper_bound(top.begin(), top.end(), cand, rank_before),
-                 cand);
-    } else if (rank_before(cand, top.back())) {
-      top.pop_back();
-      top.insert(std::upper_bound(top.begin(), top.end(), cand, rank_before),
-                 cand);
-    }
-  };
-  if (feasible_ == nullptr) {
-    for (std::size_t l = 0; l < qparams.size(); ++l) {
-      const auto& qp = qparams[l];
-      for (std::int64_t i = 0; i < qp.num_weights(); ++i) {
-        const float g = qp.param->grad[i];
-        if (g == 0.0f) continue;
-        const std::int8_t code = qp.qr.q[static_cast<std::size_t>(i)];
-        bits_evaluated += 8;
-        for (int b = 0; b < 8; ++b) {
-          const double score = static_cast<double>(g) *
-                               attack::flip_delta(code, b, qp.qr.scale);
-          if (score <= 0.0) continue;
-          ScoredRef cand;
-          cand.ref = {static_cast<int>(l), i, b};
-          cand.packed = pack_ref(cand.ref);
-          cand.score = score;
-          if (in_chain.count(cand.packed)) continue;
-          consider(cand);
-        }
-      }
-    }
-  } else {
-    for (const attack::FeasibleBit& fb : *feasible_) {
-      ++bits_evaluated;
-      const std::int64_t packed = pack_ref(fb.ref);
-      if (in_chain.count(packed)) continue;
-      const auto& qp = qparams[static_cast<std::size_t>(fb.ref.param_index)];
-      const std::int8_t code =
-          qp.qr.q[static_cast<std::size_t>(fb.ref.weight_index)];
-      if (!attack::direction_allows(int8_bit(code, fb.ref.bit), fb.direction))
-        continue;
-      const float g = qp.param->grad[fb.ref.weight_index];
-      const double score = static_cast<double>(g) *
-                           attack::flip_delta(code, fb.ref.bit, qp.qr.scale);
-      if (score <= 0.0) continue;
-      ScoredRef cand;
-      cand.ref = fb.ref;
-      cand.packed = packed;
-      cand.score = score;
-      consider(cand);
-    }
-  }
-  if (tel.bits_evaluated) tel.bits_evaluated->add(bits_evaluated);
+  // The chain's bits (node.key, sorted) are excluded — a disturbed cell
+  // cannot flip again.
+  attack::TopKSink top(static_cast<std::size_t>(branch));
+  attack::score_candidates(qmodel, feasible_, node.key, top,
+                           tel_.bits_evaluated);
 
-  // Measure each survivor: realized attack-batch loss (suffix replay when
-  // available — bit-identical to a full forward, see BfaConfig), then eval
-  // accuracy with captures off (accuracy always runs full forwards).
+  // Measure each survivor: realized attack-batch loss, then eval accuracy
+  // (always full forwards) with the batch record released.
   std::vector<ChildEval> children;
-  children.reserve(top.size());
-  for (const ScoredRef& cand : top) {
+  children.reserve(top.top().size());
+  for (const attack::Candidate& cand : top.top()) {
     qmodel.apply_bit_flip(cand.ref);
     ChildEval child;
     child.ref = cand.ref;
     child.predicted_score = cand.score;
-    if (seq_) {
-      if (tel.forward_passes) tel.forward_passes->add();
-      if (tel.suffix_forward_passes) tel.suffix_forward_passes->add();
-      child.loss = ce.forward(
-          seq_->forward_from(static_cast<std::size_t>(
-              child_of_[static_cast<std::size_t>(cand.ref.param_index)])),
-          batch_labels);
-    } else {
-      child.loss =
-          attack::batch_loss(model, batch_inputs, batch_labels,
-                             tel.forward_passes);
-    }
+    child.loss = ce.forward(
+        eval_.try_from(eval_.child_of(cand.ref.param_index)), batch_labels);
     qmodel.apply_bit_flip(cand.ref);  // restore (XOR is self-inverse)
     children.push_back(child);
   }
-  if (seq_) seq_->set_capture_activations(false);
+  eval_.release();
   for (ChildEval& child : children) {
     qmodel.apply_bit_flip(child.ref);
     child.accuracy = attack::subset_accuracy(model, eval_data, eval_idx,
-                                             tel.forward_passes);
+                                             tel_.forward_passes);
     qmodel.apply_bit_flip(child.ref);
   }
 

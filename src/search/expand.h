@@ -9,11 +9,12 @@
 //   2. draw the node's attack batch from an RNG derived from the chain's
 //      canonical hash — the batch depends on the node, never on which
 //      worker expands it or when;
-//   3. gradient pass, then score every allowed candidate bit by the BFA
-//      rule |dL/dw * delta_w| and keep the global top-`branch`;
-//   4. measure each survivor's realized loss by incremental suffix replay
-//      (full forward fallback exactly as the greedy BFA) and its eval-
-//      subset accuracy (always full forwards);
+//   3. gradient pass, then score every allowed candidate bit not in the
+//      chain by the BFA rule |dL/dw * delta_w| and keep the global
+//      top-`branch` (attack/candidates.h, the greedy search's scorer);
+//   4. measure each survivor's realized loss on the attack::SuffixEvaluator
+//      (suffix replay, full forward fallback exactly as the greedy BFA) and
+//      its eval-subset accuracy (always full forwards);
 //   5. un-apply the chain (XOR is self-inverse).
 //
 // Children are returned in deterministic rank order.
@@ -23,6 +24,7 @@
 #include <vector>
 
 #include "attack/bfa.h"
+#include "attack/eval.h"
 #include "attack/mapping.h"
 #include "attack/runner.h"
 #include "data/dataset.h"
@@ -51,23 +53,23 @@ class NodeExpander {
  public:
   /// `feasible` restricts candidates to the profile-aware set (may be null
   /// for the unconstrained attack); not owned, must outlive the expander.
+  /// `tel`'s counters receive every expansion's work.
   NodeExpander(attack::QuantizedReplica replica, const attack::BfaConfig& bfa,
-               const std::vector<attack::FeasibleBit>* feasible);
+               const std::vector<attack::FeasibleBit>* feasible,
+               const ExpandTelemetry& tel);
 
   NodeExpander(NodeExpander&&) = default;
 
   /// Eval-subset accuracy of the pristine replica (the root evaluation).
   double root_accuracy(const data::Dataset& eval_data,
-                       const std::vector<int>& eval_idx,
-                       const ExpandTelemetry& tel);
+                       const std::vector<int>& eval_idx);
 
   /// Evaluates up to `branch` children of `node` (see file comment).
   std::vector<ChildEval> expand(const SearchNode& node, int branch,
                                 std::uint64_t batch_seed,
                                 const data::Dataset& attack_data,
                                 const data::Dataset& eval_data,
-                                const std::vector<int>& eval_idx,
-                                const ExpandTelemetry& tel);
+                                const std::vector<int>& eval_idx);
 
   nn::QuantizedModel& qmodel() { return *replica_.qmodel; }
 
@@ -75,8 +77,8 @@ class NodeExpander {
   attack::QuantizedReplica replica_;
   attack::BfaConfig bfa_;
   const std::vector<attack::FeasibleBit>* feasible_;
-  nn::Sequential* seq_ = nullptr;  ///< non-null => suffix replay available
-  std::vector<int> child_of_;      ///< qparam -> Sequential child
+  ExpandTelemetry tel_;
+  attack::SuffixEvaluator eval_;  ///< attack-batch loss of each child
 };
 
 }  // namespace rowpress::search

@@ -8,25 +8,15 @@
 #include <memory>
 #include <vector>
 
+#include "attack/candidates.h"
 #include "nn/quant/qmodel.h"
 
 namespace rowpress::search {
 
-/// Packs a WeightBitRef into one 64-bit key: bit 0-2 the bit index, bits
-/// 4-43 the weight index, bits 44+ the param index.  Order-preserving per
-/// field, so sorting packed keys sorts (param, weight, bit) lexicographically.
-inline std::int64_t pack_ref(const nn::WeightBitRef& r) {
-  return (static_cast<std::int64_t>(r.param_index) << 44) |
-         (r.weight_index << 4) | r.bit;
-}
-
-inline nn::WeightBitRef unpack_ref(std::int64_t packed) {
-  nn::WeightBitRef r;
-  r.param_index = static_cast<int>(packed >> 44);
-  r.weight_index = (packed >> 4) & ((std::int64_t{1} << 40) - 1);
-  r.bit = static_cast<int>(packed & 0xf);
-  return r;
-}
+// Flips are keyed by attack::pack_ref — the scorer's tie-break key, so the
+// canonical (sorted) key below is also a valid exclusion set for it.
+using attack::pack_ref;
+using attack::unpack_ref;
 
 /// splitmix64-combined hash of a canonical key (order-sensitive over the
 /// sorted vector, so equal flip *sets* hash equally).

@@ -5,10 +5,11 @@
 // kGreedy delegates to attack::run_profile_attack / run_unconstrained_attack
 // unchanged — same calls, same RNG consumption — so greedy chains stay
 // byte-identical to builds that predate the search subsystem.  kBranchAndBound
-// re-derives the *identical* weight->DRAM mapping and feasible-bit set from
-// the trial seed (the search must attack the same physical placement the
-// greedy search would), optionally runs the greedy probe as the incumbent,
-// then runs the engine with the DepletionObjective.
+// takes its feasible-bit set and its worker replicas from
+// attack::prepare_trial, the greedy runner's trial setup (the search must
+// attack the same physical placement the greedy search would), optionally
+// runs the greedy probe as the incumbent, then runs the engine with the
+// DepletionObjective.
 #pragma once
 
 #include "attack/runner.h"

@@ -101,6 +101,14 @@ class DeterminismTest : public ::testing::Test {
                                       device_->geometry(), setup, stats);
   }
 
+  static attack::AttackResult run_unconstrained(std::uint64_t seed) {
+    attack::AttackRunSetup setup;
+    setup.seed = seed;
+    setup.bfa.max_flips = 10;
+    setup.bfa.eval_samples = 100;
+    return attack::run_unconstrained_attack(*spec_, *state_, *data_, setup);
+  }
+
   static data::SplitDataset* data_;
   static models::ModelSpec* spec_;
   static nn::ModelState* state_;
@@ -249,6 +257,35 @@ TEST_F(DeterminismTest, BnbSearchIsBitIdenticalAcrossThreadsAndEvalModes) {
   expect_same(run_bnb(42, /*threads=*/1, /*incremental=*/false, &full_stats),
               "full-forward eval");
   EXPECT_EQ(full_stats.nodes_expanded, base_stats.nodes_expanded);
+}
+
+// Golden chain pins: CRC32 digests (testutil::chain_crc) of the chains the
+// greedy search (profile-aware float and int8, unconstrained) and the
+// branch-and-bound search produce on this fixture.  Unlike the tests above,
+// which compare two runs of one build, these compare against constants, so
+// they pin a chain across code changes.  Recorded with the per-search
+// candidate loops and the Sequential-owned activation capture that the
+// shared scorer (attack/candidates.h) and SuffixEvaluator replaced, on the
+// reference build environment (GCC 12.2, x86-64, Release -O3
+// -march=native).
+TEST_F(DeterminismTest, GreedyProfileFloatChainMatchesGolden) {
+  const auto r = run_once(42);
+  testutil::expect_chain_golden(r.flips, 7, 0x04FF123Du);
+}
+
+TEST_F(DeterminismTest, GreedyProfileInt8ChainMatchesGolden) {
+  const auto r = run_once(42, /*incremental=*/true, /*int8_eval=*/true);
+  testutil::expect_chain_golden(r.flips, 7, 0x7B00C939u);
+}
+
+TEST_F(DeterminismTest, GreedyUnconstrainedChainMatchesGolden) {
+  const auto r = run_unconstrained(42);
+  testutil::expect_chain_golden(r.flips, 4, 0x3CA34649u);
+}
+
+TEST_F(DeterminismTest, BnbTwoThreadChainMatchesGolden) {
+  const auto r = run_bnb(42, /*threads=*/2, /*incremental=*/true);
+  testutil::expect_chain_golden(r.flips, 5, 0xCC5DD6D3u);
 }
 
 // End-to-end pin of the int8 inference path: CRC32 of a zoo model's int8

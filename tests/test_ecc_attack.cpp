@@ -93,6 +93,22 @@ TEST_F(EccAttackTest, CommitsWholeWordsOfThreeColocatedFlips) {
   }
 }
 
+// Golden chain pin (see DeterminismTest's pins): CRC32 of the word chain
+// one ECC-aware run commits.  Recorded with the attack's own candidate
+// loop, before it moved onto the shared scorer and SuffixEvaluator, on the
+// reference build environment (GCC 12.2, x86-64, Release -O3
+// -march=native).
+TEST_F(EccAttackTest, ChainMatchesGolden) {
+  nn::QuantizedModel qm(model());
+  const auto feasible = make_feasible(qm, 0.06, 31);
+  Rng rng(5);
+  EccAwareConfig cfg;
+  cfg.max_words = 12;
+  EccAwareAttack attack(cfg, rng);
+  const auto r = attack.run(qm, feasible, data_->test, data_->test);
+  testutil::expect_chain_golden(r.flips, 36, 0xE4C3A201u);
+}
+
 TEST_F(EccAttackTest, NoExploitableWordsMeansNoAttack) {
   nn::QuantizedModel qm(model());
   // Ultra-sparse profile: words with 3 co-located candidates are

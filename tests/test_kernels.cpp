@@ -1,9 +1,8 @@
 // GEMM kernel layer: every backend must be bitwise identical to the
 // retained naive reference (ref::) — the committed attack artifacts depend
 // on the exact FP operation sequence, so these are equality tests, not
-// tolerance tests.  Also covers the incremental-evaluation machinery the
-// kernels enable: Sequential::forward_from suffix replay and the
-// copy-on-write aliasing rules behind zero-copy reshapes.
+// tolerance tests.  Also covers the copy-on-write aliasing rules behind
+// zero-copy reshapes.
 #include "nn/kernels/kernels.h"
 
 #include <cmath>
@@ -18,7 +17,6 @@
 #include <gtest/gtest.h>
 
 #include "common/crc32.h"
-#include "models/zoo.h"
 #include "nn/linear.h"
 #include "nn/module.h"
 #include "nn/tensor.h"
@@ -703,67 +701,6 @@ TEST(KernelDispatch, BackendManagement) {
   EXPECT_FALSE(backend_available(static_cast<Backend>(99)));
   EXPECT_THROW(set_backend(static_cast<Backend>(99)), std::logic_error);
 }
-
-// forward_from must reproduce a full forward bitwise on every model family
-// in the zoo, including after a weight change in the replayed suffix —
-// exactly the situation the incremental BFA search depends on.
-class SuffixReplay : public ::testing::TestWithParam<const char*> {};
-
-TEST_P(SuffixReplay, MatchesFullForwardBitwise) {
-  const auto zoo = models::model_zoo();
-  const models::ModelSpec& spec = models::find_model(zoo, GetParam());
-  Rng rng(5);
-  auto model = spec.factory(rng);
-  auto* seq = dynamic_cast<Sequential*>(model.get());
-  ASSERT_NE(seq, nullptr) << spec.name << " is not a flat Sequential";
-  model->set_training(false);
-
-  const auto ds = models::make_dataset(spec.dataset);
-  const Tensor batch = data::gather_inputs(ds.test, {0, 1, 2});
-
-  seq->set_capture_activations(true);
-  const Tensor y_full = seq->forward(batch);
-  ASSERT_TRUE(seq->has_captured_activations());
-
-  // Replay from the start and from every child: unchanged weights must
-  // reproduce the captured run exactly.
-  for (const std::size_t start : {std::size_t{0}, seq->size() / 2}) {
-    const Tensor y_replay = seq->forward_from(start);
-    ASSERT_EQ(y_replay.numel(), y_full.numel());
-    for (std::int64_t i = 0; i < y_full.numel(); ++i)
-      ASSERT_EQ(y_replay[i], y_full[i]) << spec.name << " start=" << start;
-  }
-
-  // Perturb a weight owned by a suffix child, then suffix replay must equal
-  // a fresh full forward.
-  std::size_t child = 0;
-  Param* victim = nullptr;
-  for (std::size_t c = 0; c < seq->size(); ++c) {
-    for (Param* p : seq->child(c).parameters())
-      if (p->attackable) {
-        child = c;
-        victim = p;
-      }
-  }
-  ASSERT_NE(victim, nullptr);
-  victim->value[0] += 0.25f;
-  const Tensor y_suffix = seq->forward_from(child);
-  seq->set_capture_activations(false);
-  const Tensor y_again = seq->forward(batch);
-  ASSERT_EQ(y_suffix.numel(), y_again.numel());
-  for (std::int64_t i = 0; i < y_again.numel(); ++i)
-    ASSERT_EQ(y_suffix[i], y_again[i]) << spec.name;
-}
-
-INSTANTIATE_TEST_SUITE_P(ZooFamilies, SuffixReplay,
-                         ::testing::Values("ResNet-20", "DeiT-T", "VMamba-T",
-                                           "M11"),
-                         [](const auto& info) {
-                           std::string s = info.param;
-                           for (auto& ch : s)
-                             if (ch == '-') ch = '_';
-                           return s;
-                         });
 
 // Zero-copy reshapes share storage; a later write to the source must not
 // leak into a layer's cached activation (regression for the COW tensor).

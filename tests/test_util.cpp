@@ -1,6 +1,11 @@
 #include "test_util.h"
 
 #include <algorithm>
+#include <cstring>
+
+#include <gtest/gtest.h>
+
+#include "common/crc32.h"
 
 namespace rowpress::testutil {
 namespace {
@@ -59,6 +64,31 @@ GradCheckResult grad_check(nn::Module& m, const std::vector<int>& in_shape,
     }
   }
   return res;
+}
+
+std::uint32_t chain_crc(const std::vector<attack::FlipRecord>& flips) {
+  std::uint32_t crc = 0;
+  for (const attack::FlipRecord& f : flips) {
+    const std::int64_t fields[3] = {f.ref.param_index, f.ref.weight_index,
+                                    f.ref.bit};
+    std::uint64_t loss_bits = 0, acc_bits = 0;
+    std::memcpy(&loss_bits, &f.loss_after, sizeof loss_bits);
+    std::memcpy(&acc_bits, &f.accuracy_after, sizeof acc_bits);
+    crc = crc32(fields, sizeof fields, crc);
+    crc = crc32(&loss_bits, sizeof loss_bits, crc);
+    crc = crc32(&acc_bits, sizeof acc_bits, crc);
+  }
+  return crc;
+}
+
+void expect_chain_golden(const std::vector<attack::FlipRecord>& flips,
+                         std::size_t length, std::uint32_t crc) {
+#ifndef RP_CHAIN_PINS
+  GTEST_SKIP() << "golden chain pins hold only on the Release -march=native "
+                  "build without sanitizers they were recorded on";
+#endif
+  EXPECT_EQ(flips.size(), length);
+  EXPECT_EQ(chain_crc(flips), crc);
 }
 
 }  // namespace rowpress::testutil

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <vector>
 
+#include "attack/bfa.h"
 #include "dram/device.h"
 #include "nn/module.h"
 
@@ -45,5 +46,17 @@ struct GradCheckResult {
 GradCheckResult grad_check(nn::Module& m, const std::vector<int>& in_shape,
                            Rng& rng, int samples_per_tensor = 12,
                            double eps = 2e-3);
+
+/// Golden-pin digest of a flip chain: CRC32 over every flip's
+/// (param, weight, bit) followed by the bit patterns of its loss_after and
+/// accuracy_after doubles.  Any change to which bits flip, in which order,
+/// or to a single measured loss/accuracy bit changes the digest.
+std::uint32_t chain_crc(const std::vector<attack::FlipRecord>& flips);
+
+/// Expects a chain of `length` flips with digest `crc`; skips the test on
+/// builds other than the one the pins were recorded on (see
+/// tests/CMakeLists.txt).
+void expect_chain_golden(const std::vector<attack::FlipRecord>& flips,
+                         std::size_t length, std::uint32_t crc);
 
 }  // namespace rowpress::testutil
