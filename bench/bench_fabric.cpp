@@ -103,19 +103,16 @@ bool identical(const runtime::CampaignResult& a,
 
 void write_json(int trials, int workers, double single_s, double fabric_s,
                 bool bit_identical) {
-  const char* commit = std::getenv("RP_COMMIT");
-  std::FILE* f = std::fopen("BENCH_fabric.json", "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write BENCH_fabric.json\n");
-    return;
-  }
+  std::string commit;
+  std::FILE* f = bench::open_bench_json("BENCH_fabric.json", commit);
+  if (f == nullptr) return;
   std::fprintf(f,
                "{\"trials\": %d, \"workers\": %d, \"single_process_s\": %.3f, "
                "\"fabric_s\": %.3f, \"speedup\": %.2f, "
                "\"bit_identical\": %s, \"commit\": \"%s\"}\n",
                trials, workers, single_s, fabric_s,
                fabric_s > 0.0 ? single_s / fabric_s : 0.0,
-               bit_identical ? "true" : "false", commit ? commit : "unknown");
+               bit_identical ? "true" : "false", commit.c_str());
   std::fclose(f);
   std::printf("wrote BENCH_fabric.json\n");
 }

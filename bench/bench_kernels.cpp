@@ -3,7 +3,9 @@
 // against the dispatched backend (and full-forward candidate evaluation
 // against incremental suffix replay), and the float path against the true
 // int8 execution path (quantized GEMM, the fused int8 conv on every
-// ResNet-20 conv shape at B=4 and B=16, and the int8 ResNet-20 forward).
+// ResNet-20 conv shape at B=4 and B=16, and the int8 ResNet-20 forward),
+// plus the fused float conv next to the per-sample im2col + gemm_nn path it
+// replaced on the ResNet-20, ResNet-20-mini and M11 conv shapes.
 // Writes BENCH_kernels.json — the committed copy at the repo root is the
 // tracked baseline; it names the backend, CPU features and source commit
 // (RP_COMMIT, else `git rev-parse HEAD`) that produced it.
@@ -195,7 +197,7 @@ struct ConvTiming {
 /// One int8 conv shape through kernels::qconv, the entry the layers call,
 /// on the active backend.
 ConvTiming measure_qconv(const ConvRow& r, int batch, double window_secs) {
-  const k::QConvShape s{.batch = batch, .cin = r.cin, .h = r.hw, .w = r.hw,
+  const k::ConvShape s{.batch = batch, .cin = r.cin, .h = r.hw, .w = r.hw,
                         .cout = r.cout, .kh = r.k, .kw = r.k,
                         .stride_h = r.stride, .stride_w = r.stride,
                         .pad_h = r.pad, .pad_w = r.pad};
@@ -216,6 +218,81 @@ ConvTiming measure_qconv(const ConvRow& r, int batch, double window_secs) {
             k::qconv(x.data(), wgt.data(), sums.data(), scales.data(), nullptr,
                      s, y.data());
           }, window_secs)};
+}
+
+/// Float conv shapes (batch filled in per row): the zoo ResNet-20's, the
+/// ResNet-20-mini proxy's that bench_search and B&B run (base width 4),
+/// and M11's distinct Conv1d shapes (length-256 input: 64 at g1, after the
+/// stem's stride 2 and a max-pool, then halved by each later max-pool).
+struct FloatConvRow {
+  const char* name;
+  k::ConvShape s;
+};
+
+k::ConvShape square(const ConvRow& r) {
+  return {.cin = r.cin, .h = r.hw, .w = r.hw, .cout = r.cout, .kh = r.k,
+          .kw = r.k, .stride_h = r.stride, .stride_w = r.stride,
+          .pad_h = r.pad, .pad_w = r.pad};
+}
+
+constexpr ConvRow kResNet20MiniConvs[] = {
+    {"stem 3x3", 1, 4, 3, 1, 1, 12},   {"s1 3x3", 4, 4, 3, 1, 1, 12},
+    {"s2 3x3/2", 4, 8, 3, 2, 1, 12},   {"s2 1x1/2", 4, 8, 1, 2, 0, 12},
+    {"s2 3x3", 8, 8, 3, 1, 1, 6},      {"s3 3x3/2", 8, 16, 3, 2, 1, 6},
+    {"s3 1x1/2", 8, 16, 1, 2, 0, 6},   {"s3 3x3", 16, 16, 3, 1, 1, 3},
+};
+
+k::ConvShape conv1d(int cin, int cout, int kw, int stride, int len) {
+  return {.cin = cin, .h = 1, .w = len, .cout = cout, .kh = 1, .kw = kw,
+          .stride_h = 1, .stride_w = stride, .pad_h = 0, .pad_w = kw / 2};
+}
+
+const FloatConvRow kM11Convs[] = {
+    {"g0 k9/2", conv1d(1, 12, 9, 2, 256)},  {"g1 k3", conv1d(12, 12, 3, 1, 64)},
+    {"g2 k3", conv1d(12, 24, 3, 1, 32)},    {"g2 k3", conv1d(24, 24, 3, 1, 32)},
+    {"g3 k3", conv1d(24, 48, 3, 1, 16)},    {"g3 k3", conv1d(48, 48, 3, 1, 16)},
+    {"g4 k3", conv1d(48, 96, 3, 1, 8)},     {"g4 k3", conv1d(96, 96, 3, 1, 8)},
+};
+
+struct FloatConvTiming {
+  std::string label;
+  int batch;
+  double im2col_gemm_us, fused_us;
+};
+
+/// One float conv shape on the active backend, two ways: the per-sample
+/// bias fill + im2col + gemm_nn composition the layers ran before the
+/// fused kernel, and kernels::conv, the entry they call now.  Both produce
+/// the same bits.
+FloatConvTiming measure_float_conv(const std::string& label, k::ConvShape s,
+                                   int batch, double window_secs) {
+  s.batch = batch;
+  Rng rng(5);
+  std::vector<float> x(static_cast<std::size_t>(batch) * s.cin * s.h * s.w);
+  for (auto& v : x) v = static_cast<float>(rng.normal());
+  std::vector<float> wgt(static_cast<std::size_t>(s.cout) * s.patch());
+  for (auto& v : wgt) v = static_cast<float>(rng.normal());
+  std::vector<float> bias(static_cast<std::size_t>(s.cout));
+  for (auto& v : bias) v = static_cast<float>(rng.normal());
+  const int spatial = s.out_h() * s.out_w();
+  std::vector<float> col(static_cast<std::size_t>(s.patch()) * spatial);
+  std::vector<float> y(static_cast<std::size_t>(batch) * s.cout * spatial);
+  const std::size_t in_sample = static_cast<std::size_t>(s.cin) * s.h * s.w;
+  const std::size_t out_sample = static_cast<std::size_t>(s.cout) * spatial;
+  const double composed = median_us([&] {
+    for (int b = 0; b < batch; ++b) {
+      float* out = y.data() + b * out_sample;
+      for (int co = 0; co < s.cout; ++co)
+        std::fill_n(out + static_cast<std::size_t>(co) * spatial, spatial,
+                    bias[static_cast<std::size_t>(co)]);
+      k::im2col(x.data() + b * in_sample, s, col.data());
+      k::gemm_nn(wgt.data(), col.data(), out, s.cout, s.patch(), spatial);
+    }
+  }, window_secs);
+  const double fused = median_us([&] {
+    k::conv(x.data(), wgt.data(), bias.data(), s, y.data());
+  }, window_secs);
+  return {label, batch, composed, fused};
 }
 
 /// Int8 forward of the zoo ResNet-20 (seeded init) at `batch`, ms.
@@ -373,22 +450,15 @@ bool int8_top1_parity(const TrialFixture& fx, int samples) {
 struct KernelReport {
   double gemm_gflops = 0, qgemm_gops = 0, qgemm_batched_gops = 0;
   std::vector<ConvTiming> convs;
+  std::vector<FloatConvTiming> float_convs;
   double resnet20_int8_fwd_b8_ms = 0;
   double trial_float_naive_ms = 0, trial_wall_ms = 0, trial_int8_wall_ms = 0;
 };
 
 bool write_json(const KernelReport& r) {
-  const std::string commit = bench::source_commit();
-  if (commit.empty()) {
-    std::fprintf(stderr, "not writing BENCH_kernels.json: no source commit "
-                         "(set RP_COMMIT or run inside a git checkout)\n");
-    return false;
-  }
-  std::FILE* f = std::fopen("BENCH_kernels.json", "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write BENCH_kernels.json\n");
-    return false;
-  }
+  std::string commit;
+  std::FILE* f = bench::open_bench_json("BENCH_kernels.json", commit);
+  if (f == nullptr) return false;
   std::fprintf(f,
                "{\"gemm_gflops\": %.3f, \"qgemm_gops\": %.3f, "
                "\"qgemm_batched_gops\": %.3f, \"qconv_us\": [",
@@ -400,6 +470,15 @@ bool write_json(const KernelReport& r) {
                  "\"us\": %.2f}",
                  i == 0 ? "" : ", ", c.row->name, c.row->cin, c.row->cout,
                  c.row->hw, c.batch, c.us);
+  }
+  std::fprintf(f, "], \"float_conv_us\": [");
+  for (std::size_t i = 0; i < r.float_convs.size(); ++i) {
+    const FloatConvTiming& c = r.float_convs[i];
+    std::fprintf(f,
+                 "%s{\"shape\": \"%s\", \"batch\": %d, "
+                 "\"im2col_gemm_us\": %.2f, \"fused_us\": %.2f}",
+                 i == 0 ? "" : ", ", c.label.c_str(), c.batch,
+                 c.im2col_gemm_us, c.fused_us);
   }
   std::fprintf(f,
                "], \"resnet20_int8_fwd_b8_ms\": %.3f, "
@@ -504,6 +583,33 @@ int main(int argc, char** argv) {
       report.convs.push_back(c);
     }
   }
+  std::printf("float conv, per-sample im2col + gemm_nn vs fused conv, %s "
+              "backend\n",
+              k::backend_name(active));
+  const auto float_row = [&](const std::string& label, const k::ConvShape& s,
+                             int batch) {
+    const FloatConvTiming c = measure_float_conv(label, s, batch, 0.1);
+    std::printf("  %-30s B=%-3d %8.1f -> %8.1f us (%.2fx)\n", label.c_str(),
+                batch, c.im2col_gemm_us, c.fused_us,
+                c.im2col_gemm_us / c.fused_us);
+    report.float_convs.push_back(c);
+  };
+  const auto conv_label = [](const char* model, const char* name, int cin,
+                             int cout, int size) {
+    return std::string(model) + " " + name + " " + std::to_string(cin) +
+           "->" + std::to_string(cout) + " @" + std::to_string(size);
+  };
+  for (const int batch : {4, 16})
+    for (const ConvRow& r : kResNet20Convs)
+      float_row(conv_label("resnet20", r.name, r.cin, r.cout, r.hw),
+                square(r), batch);
+  for (const int batch : {32, 100})
+    for (const ConvRow& r : kResNet20MiniConvs)
+      float_row(conv_label("resnet20-mini", r.name, r.cin, r.cout, r.hw),
+                square(r), batch);
+  for (const FloatConvRow& r : kM11Convs)
+    float_row(conv_label("m11", r.name, r.s.cin, r.s.cout, r.s.w), r.s, 16);
+
   report.resnet20_int8_fwd_b8_ms = measure_resnet20_int8_fwd_ms(8, 0.3);
   std::printf("int8 ResNet-20 forward, B=8: %.3f ms\n",
               report.resnet20_int8_fwd_b8_ms);

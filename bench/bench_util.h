@@ -59,4 +59,22 @@ inline std::string source_commit() {
   return out;
 }
 
+/// Opens `name` (a BENCH_*.json in the working directory) for writing and
+/// sets `commit` to source_commit().  Returns null, after saying why on
+/// stderr, when the result would be unattributed or the file cannot be
+/// opened.
+inline std::FILE* open_bench_json(const char* name, std::string& commit) {
+  commit = source_commit();
+  if (commit.empty()) {
+    std::fprintf(stderr,
+                 "not writing %s: no source commit (set RP_COMMIT or run "
+                 "inside a git checkout)\n",
+                 name);
+    return nullptr;
+  }
+  std::FILE* f = std::fopen(name, "w");
+  if (f == nullptr) std::fprintf(stderr, "cannot write %s\n", name);
+  return f;
+}
+
 }  // namespace rowpress::bench

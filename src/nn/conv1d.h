@@ -25,9 +25,6 @@ class Conv1d final : public Module {
   Param weight_;  ///< [cout, cin, k]
   Param bias_;    ///< [cout]
   Tensor cached_input_;
-  /// im2col scratch, reused across calls (grown on demand).
-  std::vector<float> col_;
-  std::vector<float> gcol_;
 };
 
 }  // namespace rowpress::nn

@@ -26,10 +26,6 @@ class Conv2d final : public Module {
   Param weight_;  ///< [cout, cin, k, k]
   Param bias_;    ///< [cout]
   Tensor cached_input_;
-  /// im2col scratch, reused across forward/backward calls (grown on demand)
-  /// instead of reallocated per sample.
-  std::vector<float> col_;
-  std::vector<float> gcol_;
 };
 
 }  // namespace rowpress::nn

@@ -160,6 +160,7 @@ void bind_metrics(telemetry::MetricsRegistry* metrics) {
 }
 
 namespace detail {
+telemetry::Histogram* bound_gemm_histogram() { return t_gemm_hist; }
 telemetry::Histogram* bound_qgemm_histogram() { return t_qgemm_hist; }
 telemetry::Histogram* bound_qpack_histogram() { return t_qpack_hist; }
 }  // namespace detail

@@ -31,6 +31,10 @@ bool avx2_runtime_supported();
 /// Implemented in qgemm.cpp (next to the kernels that need it).
 bool vnni_runtime_supported();
 
+/// The calling thread's bound "kernels.gemm_ns" histogram, or null when
+/// kernel telemetry is unbound (conv.cpp times kernels::conv into it).
+telemetry::Histogram* bound_gemm_histogram();
+
 /// The calling thread's bound "kernels.qgemm_ns" histogram, or null when
 /// kernel telemetry is unbound.  Owned by dispatch.cpp's bind_metrics
 /// thread-locals; qgemm.cpp reads it to time the int8 entry points.

@@ -1,5 +1,6 @@
 // Fast GEMM kernel layer: the three accumulate ops every layer builds on
-// (conv via im2col, linear, attention), runtime-dispatched over backends.
+// (linear, attention, conv backward via im2col) plus the fused float conv
+// forward, runtime-dispatched over backends.
 //
 // Bit-exactness contract
 // ----------------------
@@ -61,6 +62,49 @@ void gemm_nt(const float* a, const float* b, float* c, int m, int k, int n);
 
 /// C[K,N] += A^T * B where A is [M,K], B is [M,N].
 void gemm_tn(const float* a, const float* b, float* c, int m, int k, int n);
+
+/// Shape of one convolution: NCHW input x[batch, cin, h, w], weight
+/// [cout, patch()] with the reduction in (ci, ki, kj) order, output
+/// y[batch, cout, out_h(), out_w()].  Zero padding is symmetric per axis.
+/// Conv1d is the h = kh = 1, stride_h = 1, pad_h = 0 case.
+struct ConvShape {
+  int batch = 1, cin = 1, h = 1, w = 1, cout = 1;
+  int kh = 1, kw = 1;
+  int stride_h = 1, stride_w = 1;
+  int pad_h = 0, pad_w = 0;
+
+  int out_h() const { return (h + 2 * pad_h - kh) / stride_h + 1; }
+  int out_w() const { return (w + 2 * pad_w - kw) / stride_w + 1; }
+  int patch() const { return cin * kh * kw; }
+};
+
+/// Fused float convolution — the whole float forward of Conv2d/Conv1d.
+/// Bit-identical on every backend to this per-sample composition: fill
+/// y_b with bias[co] (+0.0f without a bias), then gemm_nn(wgt,
+/// im2col(x_b), y_b).  So each output element is gemm_nn's FMA chain over
+/// its zero-padded patch in (ci, ki, kj) order, starting from the bias and
+/// skipping taps whose weight equals 0.0f.  It runs over zero-padded phase
+/// planes (conv_plan.h), with no im2col matrix.  Each call records one
+/// sample into "kernels.gemm_ns" while kernel telemetry is bound.
+void conv(const float* x, const float* wgt, const float* bias,
+          const ConvShape& shape, float* y);
+
+/// Backward of conv() over the batch, per sample b:
+///   wgrad[cout, patch]  += gemm_nt(g_b, im2col(x_b))
+///   bias_grad[co]       += sum over positions of g_b[co, :] (when non-null)
+///   grad_in_b           += col2im(gemm_tn(wgt, g_b))
+/// with g = grad_out[batch, cout, out_h(), out_w()].  Every sum is
+/// accumulated in a fixed order, so the result is bit-identical across
+/// backends.  Scratch is per thread.
+void conv_backward(const float* x, const float* wgt, const float* grad_out,
+                   const ConvShape& shape, float* wgrad, float* bias_grad,
+                   float* grad_in);
+
+/// One sample of `shape` (batch ignored) as the [patch(), out_h()*out_w()]
+/// matrix conv_backward's GEMMs read: row (ci, ki, kj), column (i, j)
+/// holds x[ci, i*stride_h - pad_h + ki, j*stride_w - pad_w + kj], or +0.0f
+/// where that lies in the padding.
+void im2col(const float* x, const ConvShape& shape, float* col);
 
 /// Backend used by the gemm_* entry points.  Resolved once, lazily: the
 /// ROWPRESS_KERNEL environment variable ("naive" | "portable" | "avx2" |

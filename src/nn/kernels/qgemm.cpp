@@ -46,6 +46,7 @@
 #include <vector>
 
 #include "common/check.h"
+#include "nn/kernels/conv_plan.h"
 #include "nn/kernels/gemm.h"
 #include "runtime/thread_pool.h"
 #include "telemetry/metric.h"
@@ -523,16 +524,8 @@ void run_panels(const std::int8_t* x, const std::int8_t* y, std::int32_t* c,
 // ---------------------------------------------------------------------------
 // Fused int8 convolution (qconv)
 //
-// Position grid.  Each sample's input is copied into "phase planes": for
-// stride (sh, sw), phase (pi, pj) of channel ci is the zero-padded input
-// sampled at rows a*sh + pi and columns b*sw + pj, an [hq, wq] plane over
-// the padded extent (hq = ceil(Hp/sh), wq = ceil(Wp/sw)).  Output position
-// (i, j) sits at grid index r = i*wq + j, and its tap (ci, ki, kj) reads
-// plane (ci, ki%sh, kj%sw) at r + (ki/sh)*wq + kj/sw.  That is a fixed
-// per-tap offset, so each tap of 16 consecutive grid positions is one
-// contiguous 16-float load.  At stride 1 the one phase is just the
-// zero-padded input.  Grid columns j >= ow and positions past oh*wq are
-// computed like any other lane and never stored.
+// Position grid: ConvPlan / build_planes (conv_plan.h), shared with the
+// float kernels::conv.
 //
 // Tile layout.  A tile is 16 consecutive grid positions of one sample; its
 // codes are stored [K4][16 positions][4 taps] (K4 = ceil(K/4)) and biased
@@ -547,130 +540,14 @@ void run_panels(const std::int8_t* x, const std::int8_t* y, std::int32_t* c,
 // lane, the int32 dot product is exact, and the epilogue is requantize's
 // single fma.
 
-constexpr int kTile = 16;     // output positions per tile
+using detail::build_planes;
+using detail::ConvPlan;
+using detail::kTile;
+
 constexpr int kChBlock = 8;   // output channels per microkernel call
 // Packed activation bytes per chunk of samples: stage 1 fills a chunk,
 // stage 2 consumes it while it is still cache-resident.
 constexpr std::size_t kChunkBytes = 256 * 1024;
-
-struct ConvPlan {
-  QConvShape s;
-  int oh = 0, ow = 0;
-  int k = 0, k4 = 0;      // patch length, groups of 4 taps
-  int ph_h = 1, ph_w = 1; // phases kept per axis (only those a tap reads)
-  int hq = 0, wq = 0;     // phase-plane extent = position-grid width
-  int tiles = 0;          // tiles per sample
-  std::size_t plane = 0;         // hq * wq
-  // One sample's scratch region: its phase planes plus the zeroed slack
-  // its last tile's unstored lanes read, so no read reaches another
-  // sample's planes (which another pool task may be writing).
-  std::size_t sample_stride = 0;
-  std::vector<std::int32_t> taps;       // [k4*4] sample-relative offsets
-  std::vector<std::uint16_t> tile_mask; // [tiles] lanes that are outputs
-  std::vector<std::int32_t> tile_out;   // [tiles] output index of 1st one
-
-  // Re-plans for `shape`, reusing the vectors' capacity (the plan lives in
-  // the per-thread scratch, so steady-state calls do not allocate).
-  void reset(const QConvShape& shape) {
-    s = shape;
-    oh = s.out_h();
-    ow = s.out_w();
-    k = s.patch();
-    k4 = (k + 3) / 4;
-    ph_h = std::min(s.stride_h, s.kh);
-    ph_w = std::min(s.stride_w, s.kw);
-    // A kernel overhanging the padded input (h + 2*pad < kh) still needs
-    // its taps' rows/columns inside the plane; they read as zeros.
-    hq = std::max((s.h + 2 * s.pad_h + s.stride_h - 1) / s.stride_h,
-                  oh + (s.kh - 1) / s.stride_h);
-    wq = std::max((s.w + 2 * s.pad_w + s.stride_w - 1) / s.stride_w,
-                  ow + (s.kw - 1) / s.stride_w);
-    tiles = (oh * wq + kTile - 1) / kTile;
-    plane = static_cast<std::size_t>(hq) * wq;
-
-    taps.resize(static_cast<std::size_t>(k4) * 4);
-    std::int32_t max_tap = 0;
-    for (int ci = 0, t = 0; ci < s.cin; ++ci) {
-      for (int ki = 0; ki < s.kh; ++ki) {
-        for (int kj = 0; kj < s.kw; ++kj, ++t) {
-          const std::size_t phase =
-              static_cast<std::size_t>(ci) * ph_h * ph_w +
-              static_cast<std::size_t>(ki % s.stride_h) * ph_w +
-              static_cast<std::size_t>(kj % s.stride_w);
-          const std::size_t off =
-              phase * plane +
-              static_cast<std::size_t>(ki / s.stride_h) * wq +
-              static_cast<std::size_t>(kj / s.stride_w);
-          taps[static_cast<std::size_t>(t)] = static_cast<std::int32_t>(off);
-          max_tap = std::max(max_tap, static_cast<std::int32_t>(off));
-        }
-      }
-    }
-    // Taps past K re-read the last real tap: valid memory, zero weights.
-    for (std::size_t t = static_cast<std::size_t>(k); t < taps.size(); ++t)
-      taps[t] = taps[static_cast<std::size_t>(k) - 1];
-    sample_stride =
-        std::max(static_cast<std::size_t>(s.cin) * ph_h * ph_w * plane,
-                 static_cast<std::size_t>(max_tap) +
-                     static_cast<std::size_t>(tiles) * kTile);
-
-    tile_mask.resize(static_cast<std::size_t>(tiles));
-    tile_out.resize(static_cast<std::size_t>(tiles));
-    for (int t = 0; t < tiles; ++t) {
-      std::uint16_t mask = 0;
-      int first = -1;
-      for (int l = 0; l < kTile; ++l) {
-        const int r = t * kTile + l;
-        if (r >= oh * wq || r % wq >= ow) continue;
-        mask = static_cast<std::uint16_t>(mask | (1u << l));
-        if (first < 0) first = (r / wq) * ow + r % wq;
-      }
-      tile_mask[static_cast<std::size_t>(t)] = mask;
-      tile_out[static_cast<std::size_t>(t)] = first < 0 ? 0 : first;
-    }
-  }
-
-  std::size_t tile_bytes() const { return static_cast<std::size_t>(k4) * 64; }
-};
-
-// Copies sample x[cin, h, w] into its phase planes at dst: zero the
-// sample's region in one pass, then copy each source row's in-range run.
-void build_planes(const ConvPlan& p, const float* x, float* dst) {
-  const QConvShape& s = p.s;
-  const int sh = s.stride_h, sw = s.stride_w;
-  std::fill_n(dst, p.sample_stride, 0.0f);
-  for (int pi = 0; pi < p.ph_h; ++pi) {
-    // Plane rows whose source row a*sh + pi - pad_h lies in [0, h).
-    const int a_lo = std::max(0, s.pad_h - pi + sh - 1) / sh;
-    const int a_hi =
-        std::min(p.hq, std::max(0, s.h + s.pad_h - pi + sh - 1) / sh);
-    for (int pj = 0; pj < p.ph_w; ++pj) {
-      // Plane columns whose source column b*sw + pj - pad_w lies in [0, w).
-      const int c_lo = std::max(0, s.pad_w - pj + sw - 1) / sw;
-      const int c_hi =
-          std::min(p.wq, std::max(0, s.w + s.pad_w - pj + sw - 1) / sw);
-      if (c_lo >= c_hi) continue;
-      const int n = c_hi - c_lo;
-      for (int ci = 0; ci < s.cin; ++ci) {
-        const float* xc = x + static_cast<std::size_t>(ci) * s.h * s.w +
-                          (c_lo * sw + pj - s.pad_w);
-        float* plane =
-            dst + ((static_cast<std::size_t>(ci) * p.ph_h + pi) * p.ph_w + pj) *
-                      p.plane + c_lo;
-        for (int a = a_lo; a < a_hi; ++a) {
-          const float* src =
-              xc + static_cast<std::size_t>(a * sh + pi - s.pad_h) * s.w;
-          float* row = plane + static_cast<std::size_t>(a) * p.wq;
-          if (sw == 1) {
-            std::memcpy(row, src, static_cast<std::size_t>(n) * sizeof(float));
-          } else {
-            for (int c = 0; c < n; ++c) row[c] = src[c * sw];
-          }
-        }
-      }
-    }
-  }
-}
 
 // Weight words: [ceil(cout/8)][k4][8] int32, 4 codes each, zero-padded.
 void pack_weights(const ConvPlan& p, const std::int8_t* wgt,
@@ -1182,7 +1059,7 @@ void qgemm_wgt_act_batched(const std::int8_t* wgt, const std::int8_t* act,
 
 void qconv(const float* x, const std::int8_t* wgt,
            const std::int32_t* wgt_row_sums, const float* wgt_scales,
-           const float* bias, const QConvShape& shape, float* y) {
+           const float* bias, const ConvShape& shape, float* y) {
   RP_REQUIRE(shape.batch >= 1 && shape.cin >= 1 && shape.cout >= 1 &&
                  shape.kh >= 1 && shape.kw >= 1 && shape.stride_h >= 1 &&
                  shape.stride_w >= 1 && shape.pad_h >= 0 && shape.pad_w >= 0,

@@ -104,22 +104,8 @@ void qgemm_wgt_act_batched(const std::int8_t* wgt, const std::int8_t* act,
                            std::int64_t act_stride, std::int64_t c_stride,
                            bool accumulate);
 
-/// Shape of one int8 convolution: NCHW input x[batch, cin, h, w], weight
-/// codes [cout, patch()] with the reduction in (ci, ki, kj) order, output
-/// y[batch, cout, out_h(), out_w()].  Zero padding is symmetric per axis.
-/// Conv1d is the h = kh = 1, stride_h = 1, pad_h = 0 case.
-struct QConvShape {
-  int batch = 1, cin = 1, h = 1, w = 1, cout = 1;
-  int kh = 1, kw = 1;
-  int stride_h = 1, stride_w = 1;
-  int pad_h = 0, pad_w = 0;
-
-  int out_h() const { return (h + 2 * pad_h - kh) / stride_h + 1; }
-  int out_w() const { return (w + 2 * pad_w - kw) / stride_w + 1; }
-  int patch() const { return cin * kh * kw; }
-};
-
-/// Fused int8 convolution — the whole int8 branch of Conv2d/Conv1d.
+/// Fused int8 convolution — the whole int8 branch of Conv2d/Conv1d, over
+/// the same ConvShape and position grid as the float kernels::conv.
 /// Bit-identical to the composition it replaces: for every output position
 /// p, its zero-padded patch row v_p (im2col order) is quantized by the
 /// quantize_rows() contract into codes q_p and scale_p, then
@@ -141,7 +127,7 @@ struct QConvShape {
 /// identical for every backend and gemm_threads() value.
 void qconv(const float* x, const std::int8_t* wgt,
            const std::int32_t* wgt_row_sums, const float* wgt_scales,
-           const float* bias, const QConvShape& shape, float* y);
+           const float* bias, const ConvShape& shape, float* y);
 
 /// Intra-op thread count used by the GEMM entry points.  Resolved once,
 /// lazily: ROWPRESS_GEMM_THREADS when set (clamped to >= 1), otherwise 1 —

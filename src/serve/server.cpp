@@ -193,9 +193,16 @@ void InferenceServer::serve_loop(int worker) {
       tel_.forward_ms->record(ms_between(forward_start, done));
 
     // served_ last, with release ordering, so drain()'s served==submitted
-    // check implies all per-batch accounting above is visible.
-    served_.fetch_add(static_cast<std::int64_t>(batch.size()),
-                      std::memory_order_release);
+    // check implies all per-batch accounting above is visible.  Published
+    // under done_mu_: drain() tests its predicate and then blocks while
+    // holding that mutex, so an unlocked bump + notify could land between
+    // the two steps and be lost — after the last batch nothing would wake
+    // drain() again.
+    {
+      std::lock_guard<std::mutex> lock(done_mu_);
+      served_.fetch_add(static_cast<std::int64_t>(batch.size()),
+                        std::memory_order_release);
+    }
     done_cv_.notify_all();
   }
 }

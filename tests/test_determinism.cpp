@@ -4,7 +4,9 @@
 // is only meaningful if runs are exactly replayable per seed.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -288,37 +290,31 @@ TEST_F(DeterminismTest, BnbTwoThreadChainMatchesGolden) {
   testutil::expect_chain_golden(r.flips, 5, 0xCC5DD6D3u);
 }
 
-// End-to-end pin of the int8 inference path: CRC32 of a zoo model's int8
-// logits at batch sizes 1, 3, 8 and 16, on every backend and at 1 and 3
-// intra-op threads, once clean and once after sign-bit flips (so
-// post-attack -128 codes flow through the same kernels).  ResNet-20 covers
-// every Conv2d shape of the network (stem, stride-1 3x3, stride-2 3x3, 1x1
-// downsample) plus the int8 Linear head; M11 covers Conv1d.  Inputs come
-// from a self-contained xorshift stream (exact binary fractions, no libm);
-// weights from the zoo factory's seeded init.  The constants were
-// recorded with the strip-im2col conv path (per-patch quantize_rows, then
-// qgemm_wgt_act_batched, then requantize) that the fused conv kernels
-// replaced, on the reference build environment (GCC 12.2, x86-64, Release
-// -O3 -march=native).
+// End-to-end pins of both inference paths: CRC32 of a model's logits at
+// several batch sizes, on every backend and at 1 and 3 intra-op threads,
+// once clean and once after sign-bit flips (so post-attack -128 codes flow
+// through the same kernels).  Weights come from the factory's seeded init,
+// quantized in place by QuantizedModel (the float path runs on the
+// dequantized view the attacks flip); inputs come from a self-contained
+// xorshift stream (exact binary fractions, no libm).
 struct LogitsGolden {
   std::vector<std::uint32_t> clean, flipped;
 };
 
-void expect_int8_logits_golden(const char* model_name,
-                               std::vector<int> sample_shape,
-                               const LogitsGolden& want) {
+void expect_logits_golden(nn::Module& model, const std::string& model_name,
+                          std::vector<int> sample_shape, bool int8,
+                          const std::vector<int>& batches,
+                          const LogitsGolden& want) {
   namespace k = nn::kernels;
-  const auto zoo = models::model_zoo();
-  const models::ModelSpec& spec = models::find_model(zoo, model_name);
-  Rng rng(2025);
-  auto model = spec.factory(rng);
-  model->set_training(false);
-  nn::QuantizedModel qm(*model);
-  qm.set_int8_execution(true);
+  model.set_training(false);
+  nn::QuantizedModel qm(model);
+  qm.set_int8_execution(int8);
 
   std::int64_t per_sample = 1;
   for (const int d : sample_shape) per_sample *= d;
-  std::vector<float> inputs(static_cast<std::size_t>(16 * per_sample));
+  int max_batch = 0;
+  for (const int b : batches) max_batch = std::max(max_batch, b);
+  std::vector<float> inputs(static_cast<std::size_t>(max_batch * per_sample));
   std::uint32_t s = 0x9E3779B9u;
   for (auto& v : inputs) {
     s ^= s << 13;
@@ -328,13 +324,13 @@ void expect_int8_logits_golden(const char* model_name,
   }
   const auto all_crcs = [&] {
     std::vector<std::uint32_t> out;
-    for (const int batch : {1, 3, 8, 16}) {
+    for (const int batch : batches) {
       std::vector<int> shape{batch};
       shape.insert(shape.end(), sample_shape.begin(), sample_shape.end());
       nn::Tensor x(shape);
       for (std::int64_t i = 0; i < x.numel(); ++i)
         x[i] = inputs[static_cast<std::size_t>(i)];
-      const nn::Tensor y = model->forward(x);
+      const nn::Tensor y = model.forward(x);
       for (std::int64_t i = 0; i < y.numel(); ++i)
         EXPECT_TRUE(std::isfinite(y[i])) << model_name << " logit " << i;
       out.push_back(crc32(y.cdata(), static_cast<std::size_t>(y.numel()) *
@@ -356,7 +352,8 @@ void expect_int8_logits_golden(const char* model_name,
         for (std::size_t i = 0; i < got.size(); ++i) {
           EXPECT_EQ(got[i], golden[i])
               << model_name << " " << what << " " << k::backend_name(b)
-              << " x" << threads << " batch case " << i;
+              << " x" << threads << " batch case " << i << std::hex
+              << " got 0x" << got[i];
         }
       }
     }
@@ -369,18 +366,66 @@ void expect_int8_logits_golden(const char* model_name,
   check_all(want.flipped, "flipped");
 }
 
+std::unique_ptr<nn::Module> zoo_model(const char* name) {
+  const auto zoo = models::model_zoo();
+  Rng rng(2025);
+  return models::find_model(zoo, name).factory(rng);
+}
+
+// ResNet-20 covers every Conv2d shape of the network (stem, stride-1 3x3,
+// stride-2 3x3, 1x1 downsample) plus the int8 Linear head; M11 covers
+// Conv1d.  The constants were recorded with the strip-im2col conv path
+// (per-patch quantize_rows, then qgemm_wgt_act_batched, then requantize)
+// that the fused conv kernels replaced, on the reference build environment
+// (GCC 12.2, x86-64, Release -O3 -march=native).
+const std::vector<int> kInt8Batches{1, 3, 8, 16};
+
 TEST(Int8LogitsGolden, ResNet20MatchesCommittedCrcs) {
-  expect_int8_logits_golden(
-      "ResNet-20", {1, 12, 12},
+  expect_logits_golden(
+      *zoo_model("ResNet-20"), "ResNet-20", {1, 12, 12}, /*int8=*/true,
+      kInt8Batches,
       {{0xBC255EE6u, 0x1A760D5Bu, 0x984548C6u, 0x4FD36965u},
        {0x4B749F60u, 0x187E7036u, 0x8D3F2425u, 0x012CEA4Bu}});
 }
 
 TEST(Int8LogitsGolden, M11MatchesCommittedCrcs) {
-  expect_int8_logits_golden(
-      "M11", {1, 256},
+  expect_logits_golden(
+      *zoo_model("M11"), "M11", {1, 256}, /*int8=*/true, kInt8Batches,
       {{0x4A03E9A6u, 0x55AA99B7u, 0xEA930D8Bu, 0x2D768523u},
        {0xAE15F2EFu, 0xB88EEAC4u, 0x744E69BEu, 0xDDC62FEAu}});
+}
+
+// The float twin, at batch sizes 1, 3, 8 and 100 (the last is B&B's
+// child-accuracy batch on the mini proxies).  ResNet20Mini is
+// bench_search's ResNet-20-mini proxy, whose 3x3 stage-3 maps are the
+// shapes the fused float conv's tiles fit worst.  The constants were
+// recorded with the per-sample im2col + gemm_nn conv path that
+// kernels::conv replaced, on the reference build environment; they also
+// hold on its ASan+UBSan RelWithDebInfo build.
+const std::vector<int> kFloatBatches{1, 3, 8, 100};
+
+TEST(FloatLogitsGolden, ResNet20) {
+  expect_logits_golden(
+      *zoo_model("ResNet-20"), "ResNet-20", {1, 12, 12}, /*int8=*/false,
+      kFloatBatches,
+      {{0xEEBFBDA6u, 0x741C902Eu, 0x744A365Au, 0x73409729u},
+       {0x9468640Au, 0x6E5248B6u, 0xF9EFDCA1u, 0xB0E127EBu}});
+}
+
+TEST(FloatLogitsGolden, M11) {
+  expect_logits_golden(
+      *zoo_model("M11"), "M11", {1, 256}, /*int8=*/false, kFloatBatches,
+      {{0x7CB631DCu, 0x6BB3604Fu, 0xC0306B99u, 0xFE50F949u},
+       {0xE2297011u, 0xBD885044u, 0x2F1F7B01u, 0x861E80FAu}});
+}
+
+TEST(FloatLogitsGolden, ResNet20Mini) {
+  Rng rng(2025);
+  expect_logits_golden(
+      *models::make_resnet_cifar(20, 1, 4, 4, rng), "ResNet-20-mini",
+      {1, 12, 12}, /*int8=*/false, kFloatBatches,
+      {{0x34DA1B07u, 0xC8D2BCD8u, 0x321C1CA3u, 0xEC4DEE0Fu},
+       {0xF99C94C9u, 0x68F45069u, 0x085E8C8Cu, 0x8CBA0AE9u}});
 }
 
 TEST_F(DeterminismTest, DifferentSeedsChangeTheMappingOrBatches) {

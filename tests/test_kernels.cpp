@@ -402,7 +402,7 @@ INSTANTIATE_TEST_SUITE_P(Backends, QgemmGolden,
 std::vector<float> reference_qconv(const std::vector<float>& x,
                                    const std::vector<std::int8_t>& wgt,
                                    const std::vector<float>& wscale,
-                                   const float* bias, const QConvShape& s) {
+                                   const float* bias, const ConvShape& s) {
   const int oh = s.out_h(), ow = s.out_w(), k = s.patch();
   const int spatial = oh * ow;
   std::vector<float> rows(static_cast<std::size_t>(spatial) * k);
@@ -442,7 +442,7 @@ std::vector<float> reference_qconv(const std::vector<float>& x,
 }
 
 struct QconvCase {
-  QConvShape shape;
+  ConvShape shape;
   std::vector<float> x;
   std::vector<std::int8_t> wgt;
   std::vector<std::int32_t> sums;
@@ -453,7 +453,7 @@ struct QconvCase {
 // Random case; `hostile` plants the patches the quantizer special-cases:
 // an all-zero sample, an all-NaN sample, scattered NaN/+-Inf, -128 weight
 // codes (a sign-bit flip of code 0) and -0.0 biases.
-QconvCase make_qconv_case(const QConvShape& shape, bool has_bias, bool hostile,
+QconvCase make_qconv_case(const ConvShape& shape, bool has_bias, bool hostile,
                           Rng& rng) {
   QconvCase c;
   c.shape = shape;
@@ -505,7 +505,7 @@ void expect_bits_equal(const std::vector<float>& got,
         << what << " i=" << i << " got=" << got[i] << " want=" << want[i];
 }
 
-std::string describe(const QConvShape& s, bool bias) {
+std::string describe(const ConvShape& s, bool bias) {
   return "b=" + std::to_string(s.batch) + " cin=" + std::to_string(s.cin) +
          " cout=" + std::to_string(s.cout) + " h=" + std::to_string(s.h) +
          " w=" + std::to_string(s.w) + " k=" + std::to_string(s.kh) + "x" +
@@ -522,7 +522,7 @@ TEST_P(QconvDifferential, MatchesComposedReferenceOnRandomShapes) {
   const int strides[] = {1, 2, 4};
   int cases = 0;
   while (cases < 48) {
-    QConvShape s;
+    ConvShape s;
     s.batch = static_cast<int>(rng.uniform_int(1, 9));
     s.cin = static_cast<int>(rng.uniform_int(1, 40));
     s.cout = static_cast<int>(rng.uniform_int(1, 70));
@@ -555,7 +555,7 @@ TEST_P(QconvDifferential, MatchesComposedReferenceOnRandomShapes) {
 // padded input, channel counts straddling the 8-channel microkernel block,
 // and ResNet-20's own conv shapes.
 TEST_P(QconvDifferential, MatchesComposedReferenceOnFixedCorners) {
-  const QConvShape shapes[] = {
+  const ConvShape shapes[] = {
       {.batch = 3, .cin = 1, .h = 1, .w = 64, .cout = 12, .kh = 1, .kw = 9,
        .stride_h = 1, .stride_w = 2, .pad_h = 0, .pad_w = 4},
       {.batch = 2, .cin = 12, .h = 1, .w = 31, .cout = 12, .kh = 1, .kw = 3,
@@ -575,7 +575,7 @@ TEST_P(QconvDifferential, MatchesComposedReferenceOnFixedCorners) {
        .stride_h = 1, .stride_w = 1, .pad_h = 1, .pad_w = 1},
   };
   Rng rng(99);
-  for (const QConvShape& s : shapes) {
+  for (const ConvShape& s : shapes) {
     for (const bool hostile : {false, true}) {
       const QconvCase c = make_qconv_case(s, hostile, hostile, rng);
       const auto want = reference_qconv(
@@ -592,6 +592,186 @@ TEST_P(QconvDifferential, MatchesComposedReferenceOnFixedCorners) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Backends, QconvDifferential,
+                         ::testing::ValuesIn(available_backends()),
+                         [](const auto& info) {
+                           return std::string(backend_name(info.param));
+                         });
+
+// --- Fused float convolution ---------------------------------------------
+//
+// kernels::conv must reproduce, bit for bit, the per-sample composition it
+// replaced in Conv2d/Conv1d: fill the output with the bias (+0.0f without
+// one), im2col the sample, then gemm_nn.  The reference below is that
+// composition, built from ref::gemm_nn.
+
+std::vector<float> reference_conv(const std::vector<float>& x,
+                                  const std::vector<float>& wgt,
+                                  const float* bias, const ConvShape& s) {
+  const int oh = s.out_h(), ow = s.out_w(), k = s.patch();
+  const int spatial = oh * ow;
+  std::vector<float> col(static_cast<std::size_t>(k) * spatial);
+  std::vector<float> y(static_cast<std::size_t>(s.batch) * s.cout * spatial,
+                       0.0f);
+  for (int b = 0; b < s.batch; ++b) {
+    const float* xb =
+        x.data() + static_cast<std::size_t>(b) * s.cin * s.h * s.w;
+    for (int ci = 0; ci < s.cin; ++ci) {
+      for (int ki = 0; ki < s.kh; ++ki) {
+        for (int kj = 0; kj < s.kw; ++kj) {
+          float* row = col.data() +
+                       static_cast<std::size_t>((ci * s.kh + ki) * s.kw + kj) *
+                           spatial;
+          for (int i = 0; i < oh; ++i) {
+            for (int j = 0; j < ow; ++j) {
+              const int hi = i * s.stride_h - s.pad_h + ki;
+              const int wi = j * s.stride_w - s.pad_w + kj;
+              const bool in = hi >= 0 && hi < s.h && wi >= 0 && wi < s.w;
+              row[i * ow + j] =
+                  in ? xb[(static_cast<std::size_t>(ci) * s.h + hi) * s.w + wi]
+                     : 0.0f;
+            }
+          }
+        }
+      }
+    }
+    float* yb = y.data() + static_cast<std::size_t>(b) * s.cout * spatial;
+    if (bias != nullptr)
+      for (int co = 0; co < s.cout; ++co)
+        std::fill_n(yb + static_cast<std::size_t>(co) * spatial, spatial,
+                    bias[co]);
+    ref::gemm_nn(wgt.data(), col.data(), yb, s.cout, k, spatial);
+  }
+  return y;
+}
+
+struct ConvCase {
+  ConvShape shape;
+  std::vector<float> x, wgt, bias;
+  bool has_bias = false;
+};
+
+// Random case with exact zeros of both signs among the weights (the
+// zero-skip shortcut).  `hostile` adds NaN/+-Inf/-0.0 inputs, an all-zero
+// weight row, more zero weights next to nonzero ones in the same channel
+// block, and -0.0 biases (a chain that skips every tap must return the
+// bias's sign untouched).
+ConvCase make_conv_case(const ConvShape& shape, bool has_bias, bool hostile,
+                        Rng& rng) {
+  ConvCase c;
+  c.shape = shape;
+  c.has_bias = has_bias;
+  const int k = shape.patch();
+  c.x.resize(static_cast<std::size_t>(shape.batch) * shape.cin * shape.h *
+             shape.w);
+  for (auto& v : c.x)
+    v = static_cast<float>(rng.normal() * std::exp(rng.uniform(-3.0, 3.0)));
+  c.wgt.resize(static_cast<std::size_t>(shape.cout) * k);
+  for (auto& v : c.wgt) v = static_cast<float>(rng.normal());
+  for (std::size_t i = 0; i < c.wgt.size(); i += 11)
+    c.wgt[i] = (i % 22 == 0) ? 0.0f : -0.0f;
+  c.bias.resize(static_cast<std::size_t>(shape.cout));
+  for (auto& v : c.bias) v = static_cast<float>(rng.normal());
+  if (hostile) {
+    const float specials[] = {NAN, INFINITY, -INFINITY, -0.0f};
+    for (std::size_t i = 0; i < c.x.size(); i += 7)
+      c.x[i] = specials[(i / 7) % 4];
+    for (std::size_t i = 0; i < c.wgt.size(); i += 3)
+      c.wgt[i] = (i % 2 == 0) ? 0.0f : -0.0f;
+    std::fill_n(c.wgt.begin(), k, 0.0f);  // channel 0: every tap skipped
+    for (std::size_t i = 0; i < c.bias.size(); i += 2) c.bias[i] = -0.0f;
+  }
+  return c;
+}
+
+std::vector<float> run_conv(const ConvCase& c) {
+  std::vector<float> y(static_cast<std::size_t>(c.shape.batch) * c.shape.cout *
+                       c.shape.out_h() * c.shape.out_w());
+  conv(c.x.data(), c.wgt.data(), c.has_bias ? c.bias.data() : nullptr,
+       c.shape, y.data());
+  return y;
+}
+
+void expect_conv_matches_reference(const ConvCase& c, const std::string& what) {
+  const auto want = reference_conv(c.x, c.wgt,
+                                   c.has_bias ? c.bias.data() : nullptr,
+                                   c.shape);
+  expect_bits_equal(run_conv(c), want, what);
+}
+
+class FloatConvDifferential : public QgemmGolden {};
+
+TEST_P(FloatConvDifferential, MatchesComposedReferenceOnRandomShapes) {
+  Rng rng(4321);
+  const int kernels[] = {1, 3, 5};
+  const int strides[] = {1, 2, 4};
+  int cases = 0;
+  while (cases < 48) {
+    ConvShape s;
+    s.batch = static_cast<int>(rng.uniform_int(1, 9));
+    s.cin = static_cast<int>(rng.uniform_int(1, 40));
+    s.cout = static_cast<int>(rng.uniform_int(1, 70));
+    s.h = static_cast<int>(rng.uniform_int(1, 17));
+    s.w = static_cast<int>(rng.uniform_int(1, 17));
+    s.kh = s.kw = kernels[rng.uniform_u64(3)];
+    s.stride_h = s.stride_w = strides[rng.uniform_u64(3)];
+    s.pad_h = s.pad_w = static_cast<int>(rng.uniform_int(0, 2));
+    if (s.out_h() <= 0 || s.out_w() <= 0) continue;
+    if (1LL * s.batch * s.out_h() * s.out_w() * s.patch() * s.cout > 3'000'000)
+      continue;
+    const bool bias = rng.uniform_u64(2) == 1;
+    const bool hostile = cases % 4 == 0;
+    const ConvCase c = make_conv_case(s, bias, hostile, rng);
+    expect_conv_matches_reference(
+        c, describe(s, bias) + (hostile ? " hostile" : ""));
+    ++cases;
+  }
+}
+
+// Fixed corners: M11's k = 9 stride-2 Conv1d stem and its stride-1 Conv1d
+// form, 1x1 images, kernels overhanging the padded input, ResNet-20's 1x1
+// stride-2 downsample, 3x3 outputs (one partial tile per sample), and
+// channel counts straddling the 4- and 8-channel microkernel blocks.
+TEST_P(FloatConvDifferential, MatchesComposedReferenceOnFixedCorners) {
+  const ConvShape shapes[] = {
+      {.batch = 3, .cin = 1, .h = 1, .w = 256, .cout = 12, .kh = 1, .kw = 9,
+       .stride_h = 1, .stride_w = 2, .pad_h = 0, .pad_w = 4},
+      {.batch = 2, .cin = 12, .h = 1, .w = 31, .cout = 12, .kh = 1, .kw = 3,
+       .stride_h = 1, .stride_w = 1, .pad_h = 0, .pad_w = 1},
+      {.batch = 2, .cin = 3, .h = 1, .w = 1, .cout = 9, .kh = 1, .kw = 1},
+      {.batch = 2, .cin = 2, .h = 1, .w = 1, .cout = 17, .kh = 3, .kw = 3,
+       .stride_h = 1, .stride_w = 1, .pad_h = 1, .pad_w = 1},
+      {.batch = 1, .cin = 2, .h = 2, .w = 3, .cout = 7, .kh = 5, .kw = 5,
+       .stride_h = 4, .stride_w = 4, .pad_h = 1, .pad_w = 2},
+      {.batch = 3, .cin = 3, .h = 2, .w = 2, .cout = 5, .kh = 5, .kw = 5,
+       .stride_h = 1, .stride_w = 1, .pad_h = 2, .pad_w = 2},
+      // Unpadded overhang: the taps past the input fall where a plane one
+      // row or column too small would hold the next phase's data.
+      {.batch = 2, .cin = 3, .h = 2, .w = 2, .cout = 6, .kh = 3, .kw = 3,
+       .stride_h = 2, .stride_w = 2},
+      {.batch = 4, .cin = 1, .h = 12, .w = 12, .cout = 4, .kh = 3, .kw = 3,
+       .stride_h = 1, .stride_w = 1, .pad_h = 1, .pad_w = 1},
+      {.batch = 4, .cin = 8, .h = 12, .w = 12, .cout = 16, .kh = 3, .kw = 3,
+       .stride_h = 2, .stride_w = 2, .pad_h = 1, .pad_w = 1},
+      {.batch = 4, .cin = 8, .h = 12, .w = 12, .cout = 16, .kh = 1, .kw = 1,
+       .stride_h = 2, .stride_w = 2},
+      {.batch = 5, .cin = 32, .h = 3, .w = 3, .cout = 33, .kh = 3, .kw = 3,
+       .stride_h = 1, .stride_w = 1, .pad_h = 1, .pad_w = 1},
+      {.batch = 7, .cin = 16, .h = 3, .w = 3, .cout = 16, .kh = 3, .kw = 3,
+       .stride_h = 1, .stride_w = 1, .pad_h = 1, .pad_w = 1},
+  };
+  Rng rng(77);
+  for (const ConvShape& s : shapes) {
+    for (const bool hostile : {false, true}) {
+      for (const bool bias : {false, true}) {
+        const ConvCase c = make_conv_case(s, bias, hostile, rng);
+        expect_conv_matches_reference(
+            c, describe(s, bias) + (hostile ? " hostile" : ""));
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Backends, FloatConvDifferential,
                          ::testing::ValuesIn(available_backends()),
                          [](const auto& info) {
                            return std::string(backend_name(info.param));
@@ -664,7 +844,7 @@ TEST(KernelDispatch, ScopedBindMetricsDetachesOnScopeExit) {
 // kernels.qpack_ns, the microkernel + epilogue into kernels.qgemm_ns — and
 // records nothing once the binding is gone.
 TEST(KernelDispatch, QconvStagesRecordOnlyWhileBound) {
-  const QConvShape s{.batch = 2, .cin = 4, .h = 6, .w = 6, .cout = 8,
+  const ConvShape s{.batch = 2, .cin = 4, .h = 6, .w = 6, .cout = 8,
                      .kh = 3, .kw = 3, .stride_h = 1, .stride_w = 1,
                      .pad_h = 1, .pad_w = 1};
   Rng rng(8);
@@ -685,6 +865,29 @@ TEST(KernelDispatch, QconvStagesRecordOnlyWhileBound) {
   EXPECT_GT(gemm.sum(), 0.0);
   (void)run_qconv(c);  // unbound: no recording
   EXPECT_EQ(pack.count(), 2);
+  EXPECT_EQ(gemm.count(), 2);
+}
+
+// The float conv records each call into kernels.gemm_ns (the histogram
+// the per-sample gemm_nn calls it replaced recorded into), and nothing
+// once the binding is gone.
+TEST(KernelDispatch, FloatConvRecordsIntoGemmHistogramOnlyWhileBound) {
+  const ConvShape s{.batch = 2, .cin = 4, .h = 6, .w = 6, .cout = 8,
+                    .kh = 3, .kw = 3, .stride_h = 1, .stride_w = 1,
+                    .pad_h = 1, .pad_w = 1};
+  Rng rng(9);
+  const ConvCase c = make_conv_case(s, true, false, rng);
+  telemetry::MetricsRegistry reg;
+  {
+    ScopedBindMetrics bound(&reg);
+    (void)run_conv(c);
+    (void)run_conv(c);
+  }
+  const auto& gemm = reg.histogram(
+      "kernels.gemm_ns", {1e3, 4e3, 16e3, 64e3, 256e3, 1e6, 4e6, 16e6, 64e6});
+  EXPECT_EQ(gemm.count(), 2);
+  EXPECT_GT(gemm.sum(), 0.0);
+  (void)run_conv(c);  // unbound: no recording
   EXPECT_EQ(gemm.count(), 2);
 }
 
