@@ -19,17 +19,21 @@
 // every lane runs its own element's chain unchanged:
 //
 //   * naive, portable: plain C++, one channel at a time over a sample's
-//     whole grid (every tile at once), one contiguous lane loop per tap;
+//     grid rows 0 .. oh-1 (only the ow stored columns of the last row),
+//     one contiguous lane loop per tap; small padded maps run im2col +
+//     portable_gemm_nn instead (conv_scalar says when);
 //   * avx2: 4 channels x 16 positions (two ymm per channel) per tap;
 //   * vnni: AVX-512F, 8 channels (4 for a last block of <= 4) x 16
 //     positions, two tiles at a time so each weight broadcast feeds two
-//     FMAs.
+//     FMAs.  On a 4-core AVX-512 VNNI host, ten alternating bnb-mini
+//     pairs put its op_ms 40% below the AVX2 kernel's (medians 15.8 vs
+//     26.3 ms, lower in all ten).
 //
-// For avx2 and vnni, weights are packed per call, tap-major per channel block ([t][block]
-// floats, zero past cout), with a per-tap flag telling whether any real
-// channel of the block has a zero weight there.  Unflagged taps run the
-// block's FMAs unconditionally; flagged taps test each channel.  Padded
-// channels are computed and never stored.
+// For avx2 and vnni, weights are packed per call, tap-major per block of
+// `width` channels ([t][width] floats, zero past cout), with a per-tap flag
+// telling whether any real channel of the block has a zero weight there.
+// Unflagged taps run the block's FMAs unconditionally; flagged taps test
+// each channel.  Padded channels are computed and never stored.
 #include <algorithm>
 #include <bit>
 #include <chrono>
@@ -155,11 +159,8 @@ void build_planes(const ConvPlan& p, const float* x, float* dst) {
 namespace {
 
 using detail::ConvPlan;
+using detail::kChunkBytes;
 using detail::kTile;
-
-// Phase planes of one chunk of samples stay cache-resident while their
-// tiles are computed.
-constexpr std::size_t kChunkBytes = 256 * 1024;
 
 // Output of one tile: lanes of `mask` go, in order, to consecutive output
 // indices from `dst` (channel 0 of the block); channels are `spatial` apart.
@@ -193,24 +194,28 @@ void pack_weights(const ConvPlan& p, const float* wgt, int width,
 }
 
 // One sample in plain C++ (naive and portable): per channel and tap, one
-// contiguous update of every lane of the sample's grid, the row update
-// portable_gemm_nn runs, then each output row's ow lanes are stored.
-// `acc` holds tiles * kTile floats: a whole number of 16-lane tiles keeps
-// the lane loop free of a scalar remainder.
+// contiguous update of `lanes` grid lanes, the row update portable_gemm_nn
+// runs.  Output row i sits at lane i * wq.  When those rows are contiguous
+// (wq == ow, or one row) they accumulate in place; otherwise in `acc`
+// (lanes floats), then each row's ow lanes are stored.
 void conv_sample_scalar(const ConvPlan& p, const float* wgt, const float* bias,
-                        const float* src, float* out, float* acc) {
-  const std::size_t lanes = static_cast<std::size_t>(p.tiles) * kTile;
+                        const float* src, std::size_t lanes, float* out,
+                        float* acc) {
+  const std::size_t spatial = static_cast<std::size_t>(p.oh) * p.ow;
+  const bool in_place = p.wq == p.ow || p.oh == 1;
   for (int co = 0; co < p.s.cout; ++co) {
     const float* w = wgt + static_cast<std::size_t>(co) * p.k;
-    std::fill_n(acc, lanes, bias != nullptr ? bias[co] : 0.0f);
+    float* dst = out + static_cast<std::size_t>(co) * spatial;
+    float* a = in_place ? dst : acc;
+    std::fill_n(a, lanes, bias != nullptr ? bias[co] : 0.0f);
     for (int t = 0; t < p.k; ++t) {
       const float wt = w[t];
       if (wt == 0.0f) continue;
       const float* s = src + p.taps[static_cast<std::size_t>(t)];
       for (std::size_t l = 0; l < lanes; ++l)
-        acc[l] = __builtin_fmaf(wt, s[l], acc[l]);
+        a[l] = __builtin_fmaf(wt, s[l], a[l]);
     }
-    float* dst = out + static_cast<std::size_t>(co) * p.oh * p.ow;
+    if (in_place) continue;
     for (int i = 0; i < p.oh; ++i)
       std::memcpy(dst + static_cast<std::size_t>(i) * p.ow,
                   acc + static_cast<std::size_t>(i) * p.wq,
@@ -354,11 +359,100 @@ void conv_units_vnni(const ConvPlan&, const WeightPack&, const float*,
 // the largest chunk seen.
 struct FloatConvScratch {
   ConvPlan plan;
-  std::vector<float> planes;  // phase planes of one chunk, slack included
+  // Phase planes of one chunk, slack included (naive and portable: of one
+  // sample, or its im2col matrix).
+  std::vector<float> planes;
   std::vector<Unit> units;    // the chunk's tiles that store outputs
   WeightPack wpack;
-  std::vector<float> acc;     // one channel's grid (naive, portable)
+  std::vector<float> acc;     // one channel's grid rows (naive, portable)
 };
+
+// Naive and portable, one sample at a time.  The lanes run over the
+// sample's grid rows 0 .. oh-1 and stop at the last output, so a row's
+// wq - ow padding columns are computed only between rows.  Where those
+// columns make up over 40% more lanes than outputs (a padded 3x3 conv on a
+// 3x3 map: 13 lanes for 9 outputs) the grid loses to im2col + gemm_nn, so
+// those shapes run that composition unchanged.  Both were timed on every
+// bench_kernels conv shape on the portable backend; the grid was as fast
+// or faster on all the others.  Either way each output runs the same
+// chain.
+void conv_scalar(const float* x, const float* wgt, const float* bias,
+                 float* y, FloatConvScratch& sc) {
+  const ConvPlan& p = sc.plan;
+  const std::size_t spatial = static_cast<std::size_t>(p.oh) * p.ow;
+  const std::size_t lanes = static_cast<std::size_t>(p.oh - 1) * p.wq + p.ow;
+  const bool grid = 5 * lanes <= 7 * spatial;
+  const std::size_t src_size =
+      grid ? p.sample_stride : static_cast<std::size_t>(p.k) * spatial;
+  if (sc.planes.size() < src_size) sc.planes.resize(src_size);
+  if (grid && sc.acc.size() < lanes) sc.acc.resize(lanes);
+  const std::size_t in_sample =
+      static_cast<std::size_t>(p.s.cin) * p.s.h * p.s.w;
+  for (int b = 0; b < p.s.batch; ++b) {
+    const float* xb = x + static_cast<std::size_t>(b) * in_sample;
+    float* yb = y + static_cast<std::size_t>(b) * p.s.cout * spatial;
+    if (grid) {
+      build_planes(p, xb, sc.planes.data());
+      conv_sample_scalar(p, wgt, bias, sc.planes.data(), lanes, yb,
+                         sc.acc.data());
+      continue;
+    }
+    for (int co = 0; co < p.s.cout; ++co)
+      std::fill_n(yb + static_cast<std::size_t>(co) * spatial, spatial,
+                  bias != nullptr ? bias[co] : 0.0f);
+    im2col(xb, p.s, sc.planes.data());
+    detail::portable_gemm_nn(wgt, sc.planes.data(), yb, p.s.cout, p.k,
+                             static_cast<int>(spatial));
+  }
+}
+
+// avx2 and vnni: the chunk's samples are built into phase planes, then
+// every stored tile runs the backend's microkernel per channel block.
+void conv_simd(const float* x, const float* wgt, const float* bias, float* y,
+               bool vnni, FloatConvScratch& sc) {
+  const ConvPlan& p = sc.plan;
+  pack_weights(p, wgt, vnni ? 8 : 4, sc.wpack);
+  const int per_chunk = static_cast<int>(std::clamp<std::size_t>(
+      kChunkBytes / (p.sample_stride * sizeof(float)), 1,
+      static_cast<std::size_t>(p.s.batch)));
+  const std::size_t planes_size =
+      static_cast<std::size_t>(per_chunk) * p.sample_stride;
+  if (sc.planes.size() < planes_size) sc.planes.resize(planes_size);
+  float* planes = sc.planes.data();
+
+  const std::size_t in_sample =
+      static_cast<std::size_t>(p.s.cin) * p.s.h * p.s.w;
+  const std::size_t spatial = static_cast<std::size_t>(p.oh) * p.ow;
+  const std::size_t out_sample = static_cast<std::size_t>(p.s.cout) * spatial;
+  std::vector<Unit>& units = sc.units;
+
+  for (int b0 = 0; b0 < p.s.batch; b0 += per_chunk) {
+    const int nb = std::min(per_chunk, p.s.batch - b0);
+    units.clear();
+    for (int bl = 0; bl < nb; ++bl) {
+      float* src = planes + static_cast<std::size_t>(bl) * p.sample_stride;
+      build_planes(p, x + static_cast<std::size_t>(b0 + bl) * in_sample, src);
+      float* out = y + static_cast<std::size_t>(b0 + bl) * out_sample;
+      for (int t = 0; t < p.tiles; ++t) {
+        const auto ti = static_cast<std::size_t>(t);
+        if (p.tile_mask[ti] == 0) continue;
+        units.push_back({src + ti * kTile, p.tile_mask[ti],
+                         out + static_cast<std::size_t>(p.tile_out[ti])});
+      }
+    }
+    if (!vnni) {
+      for (const Unit& u : units)
+        for (int c0 = 0; c0 < p.s.cout; c0 += 4)
+          conv_unit_avx2(p, sc.wpack, c0, bias, u, spatial);
+      continue;
+    }
+    std::size_t i = 0;
+    for (; i + 2 <= units.size(); i += 2)
+      conv_units_vnni<2>(p, sc.wpack, bias, &units[i], spatial);
+    if (i < units.size())
+      conv_units_vnni<1>(p, sc.wpack, bias, &units[i], spatial);
+  }
+}
 
 }  // namespace
 
@@ -375,61 +469,12 @@ void conv(const float* x, const float* wgt, const float* bias,
                                   : std::chrono::steady_clock::time_point{};
 
   static thread_local FloatConvScratch scratch;
-  ConvPlan& plan = scratch.plan;
-  plan.reset(shape);
+  scratch.plan.reset(shape);
   const Backend be = active_backend();
-  const bool scalar = be == Backend::kNaive || be == Backend::kPortable;
-  if (scalar) {
-    scratch.acc.resize(static_cast<std::size_t>(plan.tiles) * kTile);
+  if (be == Backend::kNaive || be == Backend::kPortable) {
+    conv_scalar(x, wgt, bias, y, scratch);
   } else {
-    pack_weights(plan, wgt, be == Backend::kVnni ? 8 : 4, scratch.wpack);
-  }
-
-  const int per_chunk = static_cast<int>(std::clamp<std::size_t>(
-      kChunkBytes / (plan.sample_stride * sizeof(float)), 1,
-      static_cast<std::size_t>(shape.batch)));
-  const std::size_t planes_size =
-      static_cast<std::size_t>(per_chunk) * plan.sample_stride;
-  if (scratch.planes.size() < planes_size) scratch.planes.resize(planes_size);
-  float* planes = scratch.planes.data();
-
-  const std::size_t in_sample =
-      static_cast<std::size_t>(shape.cin) * shape.h * shape.w;
-  const std::size_t spatial = static_cast<std::size_t>(plan.oh) * plan.ow;
-  const std::size_t out_sample = static_cast<std::size_t>(shape.cout) * spatial;
-  std::vector<Unit>& units = scratch.units;
-
-  for (int b0 = 0; b0 < shape.batch; b0 += per_chunk) {
-    const int nb = std::min(per_chunk, shape.batch - b0);
-    units.clear();
-    for (int bl = 0; bl < nb; ++bl) {
-      float* src = planes + static_cast<std::size_t>(bl) * plan.sample_stride;
-      build_planes(plan, x + static_cast<std::size_t>(b0 + bl) * in_sample,
-                   src);
-      float* out = y + static_cast<std::size_t>(b0 + bl) * out_sample;
-      if (scalar) {
-        conv_sample_scalar(plan, wgt, bias, src, out, scratch.acc.data());
-        continue;
-      }
-      for (int t = 0; t < plan.tiles; ++t) {
-        const auto ti = static_cast<std::size_t>(t);
-        if (plan.tile_mask[ti] == 0) continue;
-        units.push_back({src + ti * kTile, plan.tile_mask[ti],
-                         out + static_cast<std::size_t>(plan.tile_out[ti])});
-      }
-    }
-    const std::size_t nu = units.size();
-    if (be == Backend::kAvx2) {
-      for (const Unit& u : units)
-        for (int c0 = 0; c0 < shape.cout; c0 += 4)
-          conv_unit_avx2(plan, scratch.wpack, c0, bias, u, spatial);
-    } else if (be == Backend::kVnni) {
-      std::size_t i = 0;
-      for (; i + 2 <= nu; i += 2)
-        conv_units_vnni<2>(plan, scratch.wpack, bias, &units[i], spatial);
-      if (i < nu)
-        conv_units_vnni<1>(plan, scratch.wpack, bias, &units[i], spatial);
-    }
+    conv_simd(x, wgt, bias, y, be == Backend::kVnni, scratch);
   }
   if (hist != nullptr)
     hist->record(static_cast<double>(

@@ -25,6 +25,11 @@ namespace rowpress::nn::kernels::detail {
 
 constexpr int kTile = 16;  // output positions per tile
 
+// Scratch bytes per chunk of samples (float phase planes for conv, packed
+// activation codes for qconv): a chunk is filled, then consumed while it
+// is still cache-resident, so scratch is bounded by a chunk, not the batch.
+constexpr std::size_t kChunkBytes = 256 * 1024;
+
 struct ConvPlan {
   ConvShape s;
   int oh = 0, ow = 0;

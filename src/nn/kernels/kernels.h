@@ -84,7 +84,9 @@ struct ConvShape {
 /// im2col(x_b), y_b).  So each output element is gemm_nn's FMA chain over
 /// its zero-padded patch in (ci, ki, kj) order, starting from the bias and
 /// skipping taps whose weight equals 0.0f.  It runs over zero-padded phase
-/// planes (conv_plan.h), with no im2col matrix.  Each call records one
+/// planes (conv_plan.h), with no im2col matrix, except that the plain-C++
+/// backends (naive, portable) run small padded maps as im2col + gemm_nn,
+/// where that is faster (conv.cpp).  Each call records one
 /// sample into "kernels.gemm_ns" while kernel telemetry is bound.
 void conv(const float* x, const float* wgt, const float* bias,
           const ConvShape& shape, float* y);

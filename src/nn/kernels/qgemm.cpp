@@ -542,12 +542,10 @@ void run_panels(const std::int8_t* x, const std::int8_t* y, std::int32_t* c,
 
 using detail::build_planes;
 using detail::ConvPlan;
+using detail::kChunkBytes;
 using detail::kTile;
 
 constexpr int kChBlock = 8;   // output channels per microkernel call
-// Packed activation bytes per chunk of samples: stage 1 fills a chunk,
-// stage 2 consumes it while it is still cache-resident.
-constexpr std::size_t kChunkBytes = 256 * 1024;
 
 // Weight words: [ceil(cout/8)][k4][8] int32, 4 codes each, zero-padded.
 void pack_weights(const ConvPlan& p, const std::int8_t* wgt,
